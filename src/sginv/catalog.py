@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import atan2
 
-from .diagram import Crossing, Diagram, DiagramError, VertexNode
+from .diagram import Crossing, Diagram, DiagramError, UnionFind, VertexNode
 
 
 def from_pd(codes) -> Diagram:
@@ -63,18 +63,10 @@ def braid_closure(strands: int, word) -> Diagram:
 
     # the closure identifies the bottom segment at each position with the
     # top segment that started there
-    parent = list(range(next_id))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(range(next_id))
+    find = uf.find
     for j in range(strands):
-        ra, rb = find(cur[j]), find(j)
-        if ra != rb:
-            parent[ra] = rb
+        uf.union(cur[j], j)
 
     used = set()
     crossings = []

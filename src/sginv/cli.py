@@ -20,8 +20,8 @@ from .constituents import (conway_gordon_sum, enumerate_constituents,
 from .diagram import (DiagramError, derive_edges, parse_document,
                       seg_to_edge_id, validate)
 from .quandle import (FiniteQuandle, QuandleError, count_colorings,
-                      dihedral_quandle, is_p_colorable, trivial_quandle,
-                      verify_quandle)
+                      dihedral_quandle, is_p_colorable, is_prime,
+                      trivial_quandle, verify_quandle)
 from .yamada import yamada_normalized, yamada_raw
 
 DEFAULT_MAX_CROSSINGS = 18
@@ -218,7 +218,7 @@ def _prime(text):
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if p < 2 or any(p % i == 0 for i in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
 
@@ -266,7 +266,7 @@ def build_parser():
 
     p = sub.add_parser("pcolor", parents=[common],
                        help="Fox p-colorability")
-    p.add_argument("--p", type=_prime, required=True, help="an odd prime")
+    p.add_argument("--p", type=_prime, required=True, help="a prime")
     p.set_defaults(func=_cmd_pcolor)
 
     p = sub.add_parser("constituents", parents=[common],

@@ -45,12 +45,8 @@ def _extract(d: Diagram, choice) -> ConstituentLink:
     delete open strands, splice surviving strands through lost crossings."""
     w = Wiring(d)
     for vid, (i, j) in choice:
-        slots = w.vertices.pop(vid)
-        s_i, dir_i = slots[i]
-        s_j, dir_j = slots[j]
-        e_i = (s_i, "head" if dir_i == "in" else "tail")
-        e_j = (s_j, "head" if dir_j == "in" else "tail")
-        w.join(e_i, e_j, carry={vid})
+        ends = w.remove_vertex(vid)
+        w.join(ends[i], ends[j], carry={vid})
 
     doomed = set()
     for s in w.dangling_segments():
@@ -61,7 +57,7 @@ def _extract(d: Diagram, choice) -> ConstituentLink:
         over_dead = c["over_in"] in doomed
         under_dead = c["under_in"] in doomed
         if over_dead and under_dead:
-            del w.crossings[cid]
+            w.cut_crossing(cid)
         elif over_dead:
             w.splice_out_level(cid, "under")
         elif under_dead:
@@ -132,21 +128,15 @@ def hamiltonian_constituents(d: Diagram):
         return [link] if link.components == 1 else []
 
     part = derive_edges(d)
-    # edge index -> (endpoints, slot index at each endpoint)
-    slot_of = {}   # (edge index, vertex id) -> list of slot indices
-    endpoints = {}
+    slot_of = {}    # (edge index, vertex id) -> list of slot indices
+    endpoints = {}  # edge index -> its two end vertex ids
     vids = sorted(v.id for v in d.vertices)
     vslots = {v.id: v.incident for v in d.vertices}
-    for ei, cls in enumerate(part.classes):
-        if part.is_closed[ei]:
-            continue
-        ends = []
-        for vid in vids:
-            for slot, (seg, _) in enumerate(vslots[vid]):
-                if seg in cls:
-                    ends.append(vid)
-                    slot_of.setdefault((ei, vid), []).append(slot)
-        endpoints[ei] = tuple(ends)
+    for vid in vids:
+        for slot, (seg, _) in enumerate(vslots[vid]):
+            ei = part.index_of(seg)
+            endpoints.setdefault(ei, []).append(vid)
+            slot_of.setdefault((ei, vid), []).append(slot)
 
     incident = {vid: [] for vid in vids}
     for ei, ends in endpoints.items():

@@ -15,7 +15,7 @@ a crossing is derived from its slots and sign: counterclockwise
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class DiagramError(ValueError):
@@ -127,12 +127,25 @@ def require_valid(d: Diagram):
 # Parsing and serialization (canonical JSON)
 # ---------------------------------------------------------------------------
 
+def _int(raw, where):
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise DiagramError(f"{where}: expected an integer, got {raw!r:.40}")
+
+
+def _typed(raw, kind, where):
+    if isinstance(raw, kind):
+        return raw
+    name = "object" if kind is dict else "array"
+    raise DiagramError(f"{where}: expected a JSON {name}, got {raw!r:.40}")
+
+
 def _seg_id(raw, where):
     if isinstance(raw, int) and not isinstance(raw, bool):
         if raw < 0:
             raise DiagramError(f"{where}: negative segment id {raw}")
         return raw
-    if isinstance(raw, str) and raw.startswith("s") and raw[1:].isdigit():
+    if isinstance(raw, str) and raw.startswith("s") and raw[1:].isdecimal():
         return int(raw[1:])
     raise DiagramError(f"{where}: bad segment id {raw!r}")
 
@@ -141,52 +154,64 @@ def parse_document(text: str, check: bool = True):
     """Parse a diagram file; returns (Diagram, weights-or-None).
 
     Weights come back as a dict keyed by derived edge id ("e1", ...).
-    Raises DiagramError on syntax errors, and (when check is set) on
-    duplicates or dangling segments; check=False defers wiring validation
-    to the caller, for violation reporting.
+    Raises DiagramError on syntax errors and wrong-typed fields, and (when
+    check is set) on duplicates, bad signs or dangling segments; check=False
+    defers wiring validation to the caller, for violation reporting.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramError(f"syntax error at line {exc.lineno} col {exc.colno}: "
                            f"{exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise DiagramError("top level must be a JSON object")
+    except (ValueError, RecursionError) as exc:  # over-long int, deep nesting
+        raise DiagramError(f"unreadable JSON: {exc}") from None
+    doc = _typed(doc, dict, "top level")
     known = {"vertices", "crossings", "free_loops", "weights"}
     for key in doc:
         if key not in known:
             raise DiagramError(f"unknown key {key!r}")
 
     vertices = []
-    for entry in doc.get("vertices", []):
+    for entry in _typed(doc.get("vertices", []), list, "vertices"):
+        entry = _typed(entry, dict, "vertex")
         if "id" not in entry or "incident" not in entry:
             raise DiagramError("vertex needs 'id' and 'incident'")
+        vid = _int(entry["id"], "vertex id")
+        where = f"vertex {vid}"
         incident = []
-        for pair in entry["incident"]:
+        for pair in _typed(entry["incident"], list, where):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise DiagramError(f"{where}: incidence {pair!r:.40} is not a "
+                                   "[segment, direction] pair")
             seg, direction = pair
             if direction not in ("in", "out"):
-                raise DiagramError(f"vertex {entry['id']}: direction {direction!r}")
-            incident.append((_seg_id(seg, f"vertex {entry['id']}"), direction))
-        vertices.append(VertexNode(int(entry["id"]), tuple(incident)))
+                raise DiagramError(f"{where}: direction {direction!r}")
+            incident.append((_seg_id(seg, where), direction))
+        vertices.append(VertexNode(vid, tuple(incident)))
 
     crossings = []
-    for i, entry in enumerate(doc.get("crossings", [])):
+    for i, entry in enumerate(_typed(doc.get("crossings", []), list,
+                                     "crossings")):
+        where = f"crossing {i}"
+        entry = _typed(entry, dict, where)
         try:
             crossings.append(Crossing(
-                over_in=_seg_id(entry["over_in"], f"crossing {i}"),
-                over_out=_seg_id(entry["over_out"], f"crossing {i}"),
-                under_in=_seg_id(entry["under_in"], f"crossing {i}"),
-                under_out=_seg_id(entry["under_out"], f"crossing {i}"),
-                sign=int(entry["sign"])))
+                over_in=_seg_id(entry["over_in"], where),
+                over_out=_seg_id(entry["over_out"], where),
+                under_in=_seg_id(entry["under_in"], where),
+                under_out=_seg_id(entry["under_out"], where),
+                sign=_int(entry["sign"], f"{where} sign")))
         except KeyError as exc:
-            raise DiagramError(f"crossing {i}: missing {exc.args[0]}") from None
+            raise DiagramError(f"{where}: missing {exc.args[0]}") from None
 
-    d = Diagram(tuple(vertices), tuple(crossings), int(doc.get("free_loops", 0)))
+    d = Diagram(tuple(vertices), tuple(crossings),
+                _int(doc.get("free_loops", 0), "free_loops"))
     if check:
         require_valid(d)
     weights = doc.get("weights")
     if weights is not None:
-        weights = {str(k): int(w) for k, w in weights.items()}
+        weights = {str(k): _int(w, f"weight {k!r}")
+                   for k, w in _typed(weights, dict, "weights").items()}
     return d, weights
 
 
@@ -224,14 +249,18 @@ def canonicalize(d: Diagram) -> Diagram:
 # Arc and edge partitions
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets with path halving; `union(a, b)` makes b's root the
+    root of the merged set."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
     def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
     def union(self, a, b):
@@ -246,12 +275,10 @@ class Partition:
     classes: tuple          # tuple of sorted segment tuples, sorted by min seg
     vertex_incidences: tuple  # per class: tuple of (vertex id, direction) uses
     is_closed: tuple        # per class: no vertex incidence at all
+    class_of: dict = field(compare=False, repr=False)  # segment -> class index
 
     def index_of(self, seg):
-        for i, cls in enumerate(self.classes):
-            if seg in cls:
-                return i
-        raise KeyError(seg)
+        return self.class_of[seg]
 
     def __len__(self):
         return len(self.classes)
@@ -259,7 +286,7 @@ class Partition:
 
 def _partition(d: Diagram, merge_under: bool) -> Partition:
     segs = d.segment_ids()
-    uf = _UnionFind(segs)
+    uf = UnionFind(segs)
     for c in d.crossings:
         uf.union(c.over_in, c.over_out)
         if merge_under:
@@ -268,16 +295,13 @@ def _partition(d: Diagram, merge_under: bool) -> Partition:
     for s in segs:
         groups.setdefault(uf.find(s), []).append(s)
     classes = sorted((tuple(sorted(g)) for g in groups.values()), key=min)
-    incidences = []
-    for cls in classes:
-        inc = []
-        for v in d.vertices:
-            for s, direction in v.incident:
-                if s in cls:
-                    inc.append((v.id, direction))
-        incidences.append(tuple(inc))
-    closed = tuple(not inc for inc in incidences)
-    return Partition(tuple(classes), tuple(incidences), closed)
+    class_of = {s: i for i, cls in enumerate(classes) for s in cls}
+    incidences = [[] for _ in classes]
+    for v in d.vertices:
+        for s, direction in v.incident:
+            incidences[class_of[s]].append((v.id, direction))
+    return Partition(tuple(classes), tuple(map(tuple, incidences)),
+                     tuple(not inc for inc in incidences), class_of)
 
 
 def derive_arcs(d: Diagram) -> Partition:
@@ -300,16 +324,20 @@ def edge_ids(edges: Partition):
 
 
 def seg_to_edge_id(edges: Partition):
-    out = {}
-    for i, cls in enumerate(edges.classes):
-        for s in cls:
-            out[s] = f"e{i + 1}"
-    return out
+    return {s: f"e{i + 1}" for s, i in edges.class_of.items()}
 
 
 # ---------------------------------------------------------------------------
 # Mutable rewiring engine
 # ---------------------------------------------------------------------------
+
+_CROSSING_SLOTS = ("over_in", "over_out", "under_in", "under_out")
+# the end kind a vertex direction or crossing slot holds, and back
+_KIND = {"in": "head", "out": "tail", "over_in": "head", "under_in": "head",
+         "over_out": "tail", "under_out": "tail"}
+_DIRECTION = {"head": "in", "tail": "out"}
+_FLIP = {"head": "tail", "tail": "head"}
+
 
 class Wiring:
     """Mutable attachment structure behind crossing resolution, Reidemeister
@@ -320,27 +348,41 @@ class Wiring:
     not attached anywhere are dangling; they only exist transiently while a
     sequence of operations is in flight.
 
+    Index invariant: between operations, `_ends` maps every attached end to
+    its slot, ("v", vid, slot index) or ("c", cid, slot name), and holds no
+    other key.  Slot writes go through `_set`, and vertices and crossings are
+    added and removed only by the methods below, so callers read
+    `vertices` and `crossings` but never assign into them.
+
     `carried` tracks, per segment, the vertex ids absorbed into it by joins
     (used for Hamiltonian-cycle bookkeeping in constituent extraction).
     """
 
     def __init__(self, d: Diagram):
-        self.vertices = {v.id: list(v.incident) for v in d.vertices}
+        ends = {}
+        self.vertices = {}
+        for v in d.vertices:
+            self.vertices[v.id] = list(v.incident)
+            for i, (s, direction) in enumerate(v.incident):
+                ends[(s, _KIND[direction])] = ("v", v.id, i)
         self.crossings = {}
         for i, c in enumerate(d.crossings):
             self.crossings[i] = {"over_in": c.over_in, "over_out": c.over_out,
                                  "under_in": c.under_in, "under_out": c.under_out,
                                  "sign": c.sign}
+            ends[(c.over_in, "head")] = ("c", i, "over_in")
+            ends[(c.over_out, "tail")] = ("c", i, "over_out")
+            ends[(c.under_in, "head")] = ("c", i, "under_in")
+            ends[(c.under_out, "tail")] = ("c", i, "under_out")
+        self._ends = ends
         self.free_loops = d.free_loops
         self.carried = {}
         self.loop_carried = [set() for _ in range(d.free_loops)]
-        segs = d.segment_ids()
-        self.segments = set(segs)
-        self._next_seg = max(segs, default=-1) + 1
+        self.segments = {s for s, _ in ends}
+        self._next_seg = max(self.segments, default=-1) + 1
         self._next_crossing = len(d.crossings)
-        self._next_vertex = max(self.vertices, default=-1) + 1
 
-    # -- allocation --------------------------------------------------------
+    # -- allocation and removal --------------------------------------------
 
     def new_segment(self):
         s = self._next_seg
@@ -351,114 +393,131 @@ class Wiring:
     def new_crossing(self, over_in, over_out, under_in, under_out, sign):
         cid = self._next_crossing
         self._next_crossing += 1
-        self.crossings[cid] = {"over_in": over_in, "over_out": over_out,
-                               "under_in": under_in, "under_out": under_out,
-                               "sign": sign}
+        c = self.crossings[cid] = {"over_in": over_in, "over_out": over_out,
+                                   "under_in": under_in, "under_out": under_out,
+                                   "sign": sign}
+        for name in _CROSSING_SLOTS:
+            self._ends[(c[name], _KIND[name])] = ("c", cid, name)
         return cid
 
-    def new_vertex(self, incident):
-        vid = self._next_vertex
-        self._next_vertex += 1
-        self.vertices[vid] = list(incident)
-        return vid
+    def remove_vertex(self, vid):
+        """Remove a vertex, returning the ends it held, now dangling, in slot
+        order: [(seg, "head"|"tail"), ...]."""
+        ends = [(s, _KIND[direction]) for s, direction in self.vertices.pop(vid)]
+        for end in ends:
+            del self._ends[end]
+        return ends
 
-    # -- attachment lookup -------------------------------------------------
+    def cut_crossing(self, idx):
+        """Remove a crossing, returning its four now-dangling ends keyed by
+        slot name: {"over_in": (seg, "head"), ...}, plus its "sign"."""
+        c = self.crossings.pop(idx)
+        out = {"sign": c["sign"]}
+        for name in _CROSSING_SLOTS:
+            end = (c[name], _KIND[name])
+            del self._ends[end]
+            out[name] = end
+        return out
+
+    # -- attachment lookup and the slot writer ------------------------------
 
     def find_end(self, seg, kind):
         """Locate the attachment of a segment end, or None if dangling.
 
         Returns ("v", vid, slot index) or ("c", cid, slot name).
         """
-        want = "in" if kind == "head" else "out"
-        for vid, slots in self.vertices.items():
-            for i, (s, direction) in enumerate(slots):
-                if s == seg and direction == want:
-                    return ("v", vid, i)
-        names = ("over_in", "under_in") if kind == "head" else ("over_out", "under_out")
-        for cid, c in self.crossings.items():
-            for name in names:
-                if c[name] == seg:
-                    return ("c", cid, name)
-        return None
+        return self._ends.get((seg, kind))
+
+    def _held(self, at):
+        """The end (seg, kind) held in slot `at`."""
+        tag, owner, slot = at
+        if tag == "v":
+            s, direction = self.vertices[owner][slot]
+            return s, _KIND[direction]
+        return self.crossings[owner][slot], _KIND[slot]
+
+    def _set(self, at, seg, kind):
+        """Put end (seg, kind) in slot `at`, replacing the end held there.
+
+        The only write into an existing slot.  The displaced end is dropped
+        from the index unless an earlier write already re-homed it.
+        """
+        old = self._held(at)
+        if self._ends.get(old) == at:
+            del self._ends[old]
+        tag, owner, slot = at
+        if tag == "v":
+            self.vertices[owner][slot] = (seg, _DIRECTION[kind])
+        else:
+            self.crossings[owner][slot] = seg
+        self._ends[(seg, kind)] = at
 
     def _replace_end(self, attach, new_seg):
-        if attach is None:
-            return
-        kind, owner, slot = attach
-        if kind == "v":
-            s, direction = self.vertices[owner][slot]
-            self.vertices[owner][slot] = (new_seg, direction)
-        else:
-            self.crossings[owner][slot] = new_seg
+        """Attach `new_seg` in slot `attach` (if any), keeping the slot's
+        head/tail kind."""
+        if attach is not None:
+            self._set(attach, new_seg, self._held(attach)[1])
 
-    # -- strand reversal ---------------------------------------------------
+    # -- strand walking ----------------------------------------------------
+
+    def _strand(self, seg):
+        """Walk the maximal strand through `seg` both ways through crossing
+        continuations (over_in<->over_out, under_in<->under_out), stopping
+        at vertices and dangling ends.
+
+        Returns (segment set, set of traversed crossing levels (cid,
+        "over"|"under"), list of (slot, seg, kind) for the strand's ends held
+        at vertices).  Interior attachments are all crossing slots, so a
+        strand meets vertices only at its ends.
+        """
+        segs, levels, stops = {seg}, set(), []
+        for kind, onward in (("head", "_out"), ("tail", "_in")):
+            cur = seg
+            while True:
+                at = self._ends.get((cur, kind))
+                if at is None:
+                    break
+                if at[0] == "v":
+                    stops.append((at, cur, kind))
+                    break
+                level = at[2].partition("_")[0]
+                levels.add((at[1], level))
+                cur = self.crossings[at[1]][level + onward]
+                if cur in segs:
+                    return segs, levels, stops  # closed strand
+                segs.add(cur)
+        return segs, levels, stops
+
+    def strand_segments(self, seg):
+        """All segments on the maximal strand through `seg` (through crossing
+        continuations; stops at vertices and dangling ends)."""
+        return self._strand(seg)[0]
 
     def reverse_strand(self, seg):
         """Reverse the orientation of the maximal strand through `seg`.
 
-        The strand extends through crossings (over_in<->over_out and
-        under_in<->under_out continuations) and stops at vertices or
-        dangling ends.  Vertex direction flags flip, traversed crossings
+        Vertex direction flags at the strand's ends flip, traversed crossings
         swap their in/out slots on the traversed level, and each traversed
         level flips the crossing sign once (a strand crossing itself flips
         the sign twice, leaving it unchanged -- as it should).
 
         Returns the set of reversed segment ids.
         """
-        chain = [seg]
-        traversals = []  # (crossing id, "over"|"under")
-
-        def step_forward(s):
-            at = self.find_end(s, "head")
-            if at is None or at[0] == "v":
-                return None
-            _, cid, slot = at
-            level = "over" if slot == "over_in" else "under"
-            traversals.append((cid, level))
-            return self.crossings[cid][level + "_out"]
-
-        def step_backward(s):
-            at = self.find_end(s, "tail")
-            if at is None or at[0] == "v":
-                return None
-            _, cid, slot = at
-            level = "over" if slot == "over_out" else "under"
-            traversals.append((cid, level))
-            return self.crossings[cid][level + "_in"]
-
-        cur = step_forward(seg)
-        closed = False
-        while cur is not None and cur != seg:
-            chain.append(cur)
-            cur = step_forward(cur)
-        if cur == seg:
-            closed = True
-        if not closed:
-            cur = step_backward(seg)
-            while cur is not None:
-                chain.append(cur)
-                cur = step_backward(cur)
-
-        reversed_set = set(chain)
-
-        # flip vertex direction flags at strand endpoints (and nowhere else:
-        # interior attachments of strand segments are all crossing slots)
-        for s in reversed_set:
-            for slots in self.vertices.values():
-                for i, (s2, direction) in enumerate(slots):
-                    if s2 == s:
-                        slots[i] = (s2, "out" if direction == "in" else "in")
-
-        seen_levels = set()
-        for cid, level in traversals:
-            key = (cid, level)
-            if key in seen_levels:
-                continue  # each traversed level is swapped exactly once
-            seen_levels.add(key)
+        segs, levels, stops = self._strand(seg)
+        for at, s, kind in stops:
+            self._set(at, s, _FLIP[kind])
+        for cid, level in levels:
             c = self.crossings[cid]
-            c[level + "_in"], c[level + "_out"] = c[level + "_out"], c[level + "_in"]
+            s_in, s_out = c[level + "_in"], c[level + "_out"]
+            self._set(("c", cid, level + "_in"), s_out, "head")
+            self._set(("c", cid, level + "_out"), s_in, "tail")
             c["sign"] = -c["sign"]
-        return reversed_set
+        return segs
+
+    def dangling_segments(self):
+        ends = self._ends
+        return {s for s in self.segments
+                if (s, "head") not in ends or (s, "tail") not in ends}
 
     # -- joining dangling ends ---------------------------------------------
 
@@ -480,10 +539,7 @@ class Wiring:
             return {s1: None}
         if k1 == k2:
             flipped = self.reverse_strand(s2)
-            if k2 == "head":
-                k2 = "tail"
-            else:
-                k2 = "head"
+            k2 = _FLIP[k2]
             if s1 in flipped:  # cannot happen for a consistently oriented strand
                 raise AssertionError("reversal touched both ends")
         if k1 == "tail":
@@ -498,59 +554,11 @@ class Wiring:
         self.segments.discard(s2)
         return {s1: n, s2: n}
 
-    def cut_crossing(self, idx):
-        """Remove a crossing, returning its four now-dangling ends keyed by
-        slot name: {"over_in": (seg, "head"), ...}."""
-        c = self.crossings.pop(idx)
-        return {"over_in": (c["over_in"], "head"),
-                "over_out": (c["over_out"], "tail"),
-                "under_in": (c["under_in"], "head"),
-                "under_out": (c["under_out"], "tail"),
-                "sign": c["sign"]}
-
     def splice_out_level(self, cid, level):
         """Remove a crossing, reconnecting its `level` strand through and
-        leaving the other strand's ends dangling.  Returns (replacement map,
-        list of the other strand's dangling ends)."""
+        leaving the other strand's ends dangling."""
         ends = self.cut_crossing(cid)
-        other = "under" if level == "over" else "over"
-        rep = self.join(ends[level + "_in"], ends[level + "_out"])
-        dangles = [ends[other + "_in"], ends[other + "_out"]]
-        dangles = [(rep.get(s, s), k) for s, k in dangles]
-        return rep, dangles
-
-    # -- strand queries ----------------------------------------------------
-
-    def strand_segments(self, seg):
-        """All segments on the maximal strand through `seg` (through crossing
-        continuations; stops at vertices and dangling ends)."""
-        chain = {seg}
-        cur = seg
-        while True:
-            at = self.find_end(cur, "head")
-            if at is None or at[0] == "v":
-                break
-            level = "over" if at[2] == "over_in" else "under"
-            cur = self.crossings[at[1]][level + "_out"]
-            if cur in chain:
-                return chain  # closed strand
-            chain.add(cur)
-        cur = seg
-        while True:
-            at = self.find_end(cur, "tail")
-            if at is None or at[0] == "v":
-                break
-            level = "over" if at[2] == "over_out" else "under"
-            cur = self.crossings[at[1]][level + "_in"]
-            if cur in chain:
-                return chain
-            chain.add(cur)
-        return chain
-
-    def dangling_segments(self):
-        return {s for s in self.segments
-                if self.find_end(s, "head") is None
-                or self.find_end(s, "tail") is None}
+        self.join(ends[level + "_in"], ends[level + "_out"])
 
     # -- extraction --------------------------------------------------------
 
@@ -594,26 +602,24 @@ def resolve_crossing(d: Diagram, idx: int, mode: str) -> Diagram:
         raise IndexError(f"crossing index {idx} out of range")
     if mode not in ("A", "B", "V"):
         raise ValueError(f"unknown resolution mode {mode!r}")
-    w = Wiring(d)
-    c = d.crossings[idx]
     if mode == "V":
-        dirs = {"over_in": "in", "under_in": "in",
-                "over_out": "out", "under_out": "out"}
-        incident = [(w.crossings[idx][name], dirs[name]) for name in c.ccw_slots()]
-        del w.crossings[idx]
-        w.new_vertex(incident)
-        return w.to_diagram()
+        # no end lookups needed: build the result straight from the tuples,
+        # vertices in id order as Wiring.to_diagram would have them
+        c = d.crossings[idx]
+        incident = tuple((getattr(c, name), name.partition("_")[2])
+                         for name in c.ccw_slots())  # "over_in" -> "in"
+        vid = max((v.id for v in d.vertices), default=-1) + 1
+        vertices = tuple(sorted(d.vertices, key=lambda v: v.id))
+        return Diagram(vertices + (VertexNode(vid, incident),),
+                       d.crossings[:idx] + d.crossings[idx + 1:], d.free_loops)
 
+    w = Wiring(d)
     ends = w.cut_crossing(idx)
-    sign = ends.pop("sign")
-    oriented = (mode == "A") == (sign == 1)
-    pairs = _smoothing_pairs(sign, oriented)
-    pending = dict(ends)
-    first, second = pairs
-    rep = w.join(pending[first[0]], pending[first[1]])
-    a, b = pending[second[0]], pending[second[1]]
-    a = _remap_end(w, a, rep)
-    b = _remap_end(w, b, rep)
+    sign = ends["sign"]
+    first, second = _smoothing_pairs(sign, (mode == "A") == (sign == 1))
+    rep = w.join(ends[first[0]], ends[first[1]])
+    a = _remap_end(w, ends[second[0]], rep)
+    b = _remap_end(w, ends[second[1]], rep)
     if a[0] is not None and b[0] is not None:
         w.join(a, b)
     elif a[0] is not None or b[0] is not None:
@@ -631,6 +637,6 @@ def _remap_end(w: Wiring, end, rep):
         if s is None:
             return (None, k)
     if w.find_end(s, k) is not None:
-        k = "tail" if k == "head" else "head"
+        k = _FLIP[k]
         assert w.find_end(s, k) is None, "end is not dangling"
     return (s, k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .diagram import Diagram, DiagramError, derive_edges
+from .diagram import Diagram, DiagramError, UnionFind, derive_edges
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,10 @@ def contract_edge(g: AbstractGraph, e) -> AbstractGraph:
 def connected_components(g: AbstractGraph):
     """Split into connected AbstractGraphs (isolated vertices included);
     free loops are returned separately as a count."""
-    parent = list(range(g.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(range(g.vertex_count))
+    find = uf.find
     for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        uf.union(u, v)
     comps = {}
     for v in range(g.vertex_count):
         comps.setdefault(find(v), []).append(v)

@@ -43,13 +43,6 @@ class LaurentPoly:
     def monomial(cls, coeff, exp, var="t"):
         return cls({exp: coeff}, var)
 
-    @classmethod
-    def from_pairs(cls, pairs, var="t"):
-        d = {}
-        for e, c in pairs:
-            d[e] = d.get(e, 0) + c
-        return cls(d, var)
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
@@ -481,18 +474,9 @@ def minors_gcd(matrix, k):
     cols = len(matrix[0]) if rows else 0
     if k < 0 or k > min(rows, cols):
         raise ValueError(f"minor size {k} out of range for {rows}x{cols}")
-    var = matrix[0][0].var if rows and cols else "t"
     if k == 0:
-        return LaurentPoly.constant(1, var)
-    one = LaurentPoly.constant(1, var)
-    acc = None
-    for rset in combinations(range(rows), k):
-        for cset in combinations(range(cols), k):
-            sub = [[matrix[i][j] for j in cset] for i in rset]
-            d = bareiss_det(sub)
-            if d.is_zero():
-                continue
-            acc = d.normalize_units() if acc is None else laurent_gcd(acc, d)
-            if acc == one:
-                return acc
-    return acc if acc is not None else LaurentPoly.zero(var)
+        return LaurentPoly.constant(1, matrix[0][0].var if rows and cols else "t")
+    return laurent_gcd_many(
+        bareiss_det([[matrix[i][j] for j in cset] for i in rset])
+        for rset in combinations(range(rows), k)
+        for cset in combinations(range(cols), k))

@@ -202,7 +202,8 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
     return total
 
 
-def _is_prime(p):
+def is_prime(p):
+    """True when p is prime (trial division)."""
     if p < 2:
         return False
     i = 2
@@ -238,7 +239,7 @@ def count_constant_colorings(d: Diagram, X: FiniteQuandle) -> int:
 
 def is_p_colorable(d: Diagram, p: int) -> bool:
     """True when a non-constant dihedral-p coloring exists."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise QuandleError(f"{p} is not prime")
     X = dihedral_quandle(p)
     return count_colorings(d, X) > count_constant_colorings(d, X)

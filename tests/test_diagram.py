@@ -7,10 +7,12 @@ import random
 import pytest
 
 from sginv import catalog
-from sginv.diagram import (Crossing, Diagram, DiagramError, VertexNode,
+from sginv.constituents import enumerate_constituents
+from sginv.diagram import (Crossing, Diagram, DiagramError, VertexNode, Wiring,
                            canonicalize, derive_arcs, derive_edges, edge_ids,
                            parse_diagram, parse_document, resolve_crossing,
                            seg_to_edge_id, serialize, validate)
+from sginv.moves import R2_VARIANTS, apply_r1, apply_r2
 
 from helpers import read_fixture, small_corpus
 
@@ -53,6 +55,17 @@ def test_parse_accepts_bare_integer_segment_ids():
     (lambda doc: doc["crossings"][0].pop("over_in"), "missing"),
     (lambda doc: doc["crossings"][0].update(over_in="q7"), "bad segment id"),
     (lambda doc: doc["crossings"][0].update(over_in=-3), "negative segment"),
+    (lambda doc: doc["crossings"][0].update(over_in="s\u00b2"),
+     "bad segment id 's\u00b2'"),
+    (lambda doc: doc.update(vertices=[{"id": 0, "incident": [["s0"]]}]),
+     "not a \\[segment, direction\\] pair"),
+    (lambda doc: doc.update(vertices=[5]), "vertex: expected a JSON object"),
+    (lambda doc: doc.update(free_loops="x"), "free_loops: .* got 'x'"),
+    (lambda doc: doc.update(free_loops=float("inf")), "free_loops: .* got inf"),
+    (lambda doc: doc.update(weights={"e1": "x"}), "weight 'e1': expected"),
+    (lambda doc: doc["crossings"][0].update(sign="1"), "sign: .* got '1'"),
+    (lambda doc: doc["crossings"][0].update(sign=True), "sign: .* got True"),
+    (lambda doc: doc["crossings"][0].update(sign=2), "bad-sign"),
 ])
 def test_parse_rejects_malformed_documents(mangle, message):
     doc = json.loads(serialize(catalog.trefoil()))
@@ -64,6 +77,10 @@ def test_parse_rejects_malformed_documents(mangle, message):
 def test_parse_rejects_bad_direction_and_syntax():
     with pytest.raises(DiagramError, match="syntax error"):
         parse_diagram("{broken")
+    with pytest.raises(DiagramError, match="unreadable JSON"):
+        parse_diagram('{"free_loops": ' + "9" * 5000 + "}")
+    with pytest.raises(DiagramError, match="unreadable JSON"):
+        parse_diagram('{"vertices": ' + "[" * 100000 + "]" * 100000 + "}")
     doc = {"vertices": [{"id": 0, "incident": [["s0", "sideways"]]}]}
     with pytest.raises(DiagramError, match="direction"):
         parse_diagram(json.dumps(doc))
@@ -171,3 +188,91 @@ def test_resolve_rejects_bad_input():
         resolve_crossing(catalog.kinked_unknot(1), 5, "A")
     with pytest.raises(ValueError):
         resolve_crossing(catalog.kinked_unknot(1), 0, "Q")
+
+
+# -- the Wiring end index against a brute-force slot scan ---------------------
+
+def _scan_end(w, seg, kind):
+    """Oracle for Wiring.find_end: scan every vertex and crossing slot."""
+    want = "in" if kind == "head" else "out"
+    for vid, slots in w.vertices.items():
+        for i, (s, direction) in enumerate(slots):
+            if s == seg and direction == want:
+                return ("v", vid, i)
+    names = ("over_in", "under_in") if kind == "head" else ("over_out", "under_out")
+    for cid, c in w.crossings.items():
+        for name in names:
+            if c[name] == seg:
+                return ("c", cid, name)
+    return None
+
+
+_STEPS = ("__init__", "new_segment", "new_crossing", "remove_vertex",
+          "cut_crossing", "_replace_end", "reverse_strand", "join",
+          "splice_out_level")
+
+
+@pytest.fixture
+def index_checked(monkeypatch):
+    """Compare find_end with the scan for every end of every segment seen so
+    far, after every Wiring step; returns the names of the checked steps."""
+    seen, steps = set(), []
+
+    def check(w):
+        seen.update(w.segments)
+        for slots in w.vertices.values():
+            seen.update(s for s, _ in slots)
+        for c in w.crossings.values():
+            seen.update(c[name] for name in ("over_in", "over_out",
+                                             "under_in", "under_out"))
+        for s in seen:
+            for kind in ("head", "tail"):
+                assert w.find_end(s, kind) == _scan_end(w, s, kind), (s, kind)
+
+    def checked(name, method):
+        def wrapper(self, *args, **kwargs):
+            result = method(self, *args, **kwargs)
+            check(self)
+            steps.append(name)
+            return result
+        return wrapper
+
+    for name in _STEPS:
+        monkeypatch.setattr(Wiring, name, checked(name, getattr(Wiring, name)))
+    return steps
+
+
+def test_end_index_through_move_insertion(index_checked):
+    for d in small_corpus().values():
+        segs = sorted(d.segment_ids())
+        for seg in segs:
+            for ch in (1, -1):
+                apply_r1(d, seg, ch)
+        for s1, s2 in zip(segs, segs[1:]):
+            for variant in R2_VARIANTS:
+                apply_r2(d, s1, s2, variant)
+    assert {"new_crossing", "_replace_end"} <= set(index_checked)
+
+
+def test_end_index_through_resolution(index_checked):
+    for d in small_corpus().values():
+        for idx in range(len(d.crossings)):
+            for mode in ("A", "B", "V"):
+                resolve_crossing(d, idx, mode)
+    assert {"cut_crossing", "join", "reverse_strand"} <= set(index_checked)
+
+
+def test_end_index_through_strand_reversal(index_checked):
+    for d in {**small_corpus(), "k4": catalog.complete_graph_moment_curve(4)
+              }.values():
+        for seg in sorted(d.segment_ids()):
+            w = Wiring(d)
+            w.reverse_strand(seg)
+            w.reverse_strand(seg)
+            assert w.to_diagram() == Wiring(d).to_diagram()
+
+
+def test_end_index_through_constituent_extraction(index_checked):
+    members = enumerate_constituents(catalog.complete_graph_moment_curve(4))
+    assert len(members) == 3 ** 4
+    assert {"remove_vertex", "join", "splice_out_level"} <= set(index_checked)
