@@ -20,7 +20,7 @@ from math import gcd as int_gcd
 
 from .diagram import (Diagram, DiagramError, Partition, derive_arcs,
                       derive_edges, require_valid, seg_to_edge_id)
-from .laurent import LaurentPoly, minors_gcd
+from .laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
 
 VAR = "t"
 
@@ -122,21 +122,29 @@ def build_alexander_matrix(d: Diagram, weights) -> AlexanderMatrix:
 
 
 def gcd_of_minors(rows, k) -> LaurentPoly:
-    """GCD over all k x k minors; k = 0 gives 1, all-zero gives 0."""
-    matrix = [list(r) for r in rows]
-    return minors_gcd(matrix, k)
+    """GCD over all k x k minors; k = 0 gives 1, all-zero gives 0.
+
+    Unit pivots shrink the problem first; only the leftover core is
+    enumerated exhaustively."""
+    return minors_gcd(*reduce_unit_pivots(rows, k))
+
+
+def _relation_minors(d: Diagram, weights):
+    """The Alexander matrix rows and the minor size r - 1 of both invariants
+    (no rows and size 0 when there are no relations)."""
+    m = build_alexander_matrix(d, weights)
+    r, s = m.row_count, m.col_count
+    if r == 0:
+        return (), 0
+    if r - 1 > s:
+        raise DiagramError(f"degenerate input: {r} relations but only {s} arcs")
+    return m.rows, r - 1
 
 
 def alexander_polynomial(d: Diagram, weights) -> LaurentPoly:
     """GCD of the (r-1) x (r-1) minors, canonicalized so the lowest term is
     a positive constant."""
-    m = build_alexander_matrix(d, weights)
-    r, s = m.row_count, m.col_count
-    if r == 0:
-        return LaurentPoly.constant(1, VAR)
-    if r - 1 > s:
-        raise DiagramError(f"degenerate input: {r} relations but only {s} arcs")
-    g = gcd_of_minors(m.rows, r - 1)
+    g = gcd_of_minors(*_relation_minors(d, weights))
     return g if g.is_zero() else g.normalize_units()
 
 
@@ -165,20 +173,15 @@ def _int_det(m):
 
 def graph_determinant(d: Diagram, weights) -> int:
     """GCD of the absolute (r-1)-minors of the matrix at t = -1."""
-    m = build_alexander_matrix(d, weights)
-    r, s = m.row_count, m.col_count
-    if r == 0:
-        return 1
-    if r - 1 > s:
-        raise DiagramError(f"degenerate input: {r} relations but only {s} arcs")
-    k = r - 1
+    rows, k = _relation_minors(d, weights)
+    core, k = reduce_unit_pivots([[e.subs_int(-1) for e in row]
+                                  for row in rows], k)
     if k == 0:
         return 1
-    im = [[e.subs_int(-1) for e in row] for row in m.rows]
     g = 0
-    for rset in combinations(range(r), k):
-        for cset in combinations(range(s), k):
-            sub = [[im[i][j] for j in cset] for i in rset]
+    for rset in combinations(range(len(core)), k):
+        for cset in combinations(range(len(core[0])), k):
+            sub = [[core[i][j] for j in cset] for i in rset]
             g = int_gcd(g, abs(_int_det(sub)))
             if g == 1:
                 return 1

@@ -80,9 +80,9 @@ def _parse_weight_flags(pairs):
     return out
 
 
-def _crossing_cap(args):
-    if args.max_crossings is not None:
-        return args.max_crossings
+def _crossing_cap(flag=None):
+    if flag is not None:
+        return flag
     env = os.environ.get("SGINV_MAX_CROSSINGS")
     if env is not None:
         try:
@@ -92,8 +92,15 @@ def _crossing_cap(args):
     return DEFAULT_MAX_CROSSINGS
 
 
+def _check_free_loops(d, cap):
+    if d.free_loops > cap:
+        raise CliError(1, f"diagram has {d.free_loops} free loops, above "
+                          f"the cap of {cap}")
+
+
 def _check_cap(d, args):
-    cap = _crossing_cap(args)
+    cap = _crossing_cap(args.max_crossings)
+    _check_free_loops(d, cap)
     if len(d.crossings) > cap:
         raise CliError(1, f"diagram has {len(d.crossings)} crossings, above "
                           f"the cap of {cap}; raise --max-crossings")
@@ -173,6 +180,7 @@ def _cmd_pcolor(args):
 
 def _cmd_constituents(args):
     d, _ = _load(args.file)
+    _check_free_loops(d, _crossing_cap())
     members = enumerate_constituents(d)
     if args.drop_empty:
         members = [m for m in members if not m.is_empty]
@@ -206,6 +214,7 @@ def _cmd_group(args):
 
 def _cmd_cg(args):
     d, _ = _load(args.file)
+    _check_free_loops(d, _crossing_cap())
     total = conway_gordon_sum(d)
     _emit(args, {"conway_gordon": total}, str(total))
     return 0

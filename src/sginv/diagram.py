@@ -240,11 +240,6 @@ def serialize(d: Diagram, weights=None) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def canonicalize(d: Diagram) -> Diagram:
-    """The diagram with vertices and crossings in canonical array order."""
-    return parse_diagram(serialize(d))
-
-
 # ---------------------------------------------------------------------------
 # Arc and edge partitions
 # ---------------------------------------------------------------------------
@@ -316,11 +311,6 @@ def derive_edges(d: Diagram) -> Partition:
     contribute extra (segment-free) closed components not listed here.
     """
     return _partition(d, merge_under=True)
-
-
-def edge_ids(edges: Partition):
-    """Edge labels 'e1', 'e2', ... in least-contained-segment order."""
-    return [f"e{i + 1}" for i in range(len(edges))]
 
 
 def seg_to_edge_id(edges: Partition):

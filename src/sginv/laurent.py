@@ -114,14 +114,16 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def is_unit(self):
+        """True for the invertible elements +-x^k."""
+        return len(self._c) == 1 and next(iter(self._c.values())) in (1, -1)
+
     def __pow__(self, n):
         if n < 0:
-            # only units +-x^k are invertible
-            if len(self._c) == 1:
-                (e, c), = self._c.items()
-                if c in (1, -1):
-                    return LaurentPoly({e * n: c if n % 2 else 1}, self.var)
-            raise ValueError("negative powers only defined for units")
+            if not self.is_unit():
+                raise ValueError("negative powers only defined for units")
+            (e, c), = self._c.items()
+            return LaurentPoly({e * n: c if n % 2 else 1}, self.var)
         out = LaurentPoly.constant(1, self.var)
         base = self
         while n:
@@ -480,3 +482,50 @@ def minors_gcd(matrix, k):
         bareiss_det([[matrix[i][j] for j in cset] for i in rset])
         for rset in combinations(range(rows), k)
         for cset in combinations(range(cols), k))
+
+
+def _unit_inverse(e):
+    """The inverse of a unit entry (+-1 in Z, +-x^k in Z[x^+-1]), else None."""
+    if isinstance(e, LaurentPoly):
+        return e ** -1 if e.is_unit() else None
+    return e if e in (1, -1) else None
+
+
+def _is_zero(e):
+    return e.is_zero() if isinstance(e, LaurentPoly) else e == 0
+
+
+def reduce_unit_pivots(matrix, k):
+    """Shrink the k-minor gcd problem of a matrix over Z or Z[x^+-1].
+
+    The gcd of the k x k minors is unchanged by elementary row and column
+    operations.  Clearing the row and column of a unit entry u at (i, j)
+    leaves u as a 1 x 1 block beside the Schur complement
+        M'[a][b] = M[a][b] - M[a][j] u^-1 M[i][b]    (a != i, b != j),
+    and the k-minor gcd of M is the (k-1)-minor gcd of M'.  Pivots on the
+    first unit in row-major order until k reaches 0 or no unit is left.
+    Returns (core, k'); k' = 0 means the gcd is 1.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if k < 0 or k > min(rows, cols):
+        raise ValueError(f"minor size {k} out of range for {rows}x{cols}")
+    m = [list(row) for row in matrix]
+    while k:
+        pivot = next(((i, j, inv) for i, row in enumerate(m)
+                      for j, e in enumerate(row)
+                      if (inv := _unit_inverse(e)) is not None), None)
+        if pivot is None:
+            break
+        i, j, inv = pivot
+        prow = m.pop(i)
+        support = [(b, e) for b, e in enumerate(prow)
+                   if b != j and not _is_zero(e)]
+        for row in m:
+            if not _is_zero(row[j]):
+                factor = row[j] * inv
+                for b, e in support:
+                    row[b] = row[b] - factor * e
+            del row[j]
+        k -= 1
+    return m, k

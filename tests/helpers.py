@@ -1,11 +1,15 @@
 """Shared helpers for the test suite: fixture paths, a small diagram corpus,
-and random polynomial generation (seeded; every test run is deterministic).
+diagram canonicalization and edge labels, balanced theta weights, the
+explicit 9x10 relation matrix, and random polynomial generation (seeded;
+every test run is deterministic).
 """
 
 import os
 import random
 
 from sginv import catalog
+from sginv.alexander import check_balanced
+from sginv.diagram import Diagram, Partition, parse_diagram, serialize
 from sginv.laurent import LaurentPoly
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -18,6 +22,29 @@ def fixture_path(name):
 def read_fixture(name):
     with open(fixture_path(name), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def canonicalize(d: Diagram) -> Diagram:
+    """The diagram with vertices and crossings in canonical array order."""
+    return parse_diagram(serialize(d))
+
+
+def edge_ids(edges: Partition):
+    """Edge labels 'e1', 'e2', ... in least-contained-segment order."""
+    return [f"e{i + 1}" for i in range(len(edges))]
+
+
+def balanced_theta_weights(th):
+    """Integer weights making the two trivalent vertices of a theta-curve
+    balanced."""
+    for w3 in (1, -1, 2, -2):
+        for w2 in (1, -1, 2, -2):
+            for w1 in (1, -1, 2, -2):
+                w = {"e1": w1, "e2": w2, "e3": w3}
+                ok, _ = check_balanced(th, w)
+                if ok:
+                    return w
+    raise AssertionError("no balanced weighting found")
 
 
 def small_corpus():
@@ -52,3 +79,25 @@ def random_laurent(rng: random.Random, var="t", max_terms=5, span=6, cmax=9):
 def random_unit(rng: random.Random, var="t", span=4):
     return LaurentPoly.monomial(rng.choice((1, -1)),
                                 rng.randrange(-span, span + 1), var)
+
+
+def nine_by_ten_matrix():
+    """Relation matrix of a 10-arc bouquet diagram at unit weights; the gcd
+    of its 8x8 minors normalizes to t^2 - 2t + 2."""
+    t = LaurentPoly({1: 1}, "t")
+    one = LaurentPoly({0: 1}, "t")
+    it = one - t          # 1 - t
+    ti = LaurentPoly({-1: 1}, "t")
+    ti2 = LaurentPoly({-2: 1}, "t")
+    z = LaurentPoly.zero("t")
+    return [
+        [-one, it, t, z, z, z, z, z, z, z],
+        [z, -one, it, t, z, z, z, z, z, z],
+        [z, z, t, z, it, -one, z, z, z, z],
+        [z, t, z, it, -one, z, z, z, z, z],
+        [z, z, z, z, z, -one, it, z, t, z],
+        [z, z, z, it, z, z, -one, t, z, z],
+        [z, z, z, t, z, z, z, -one, it, z],
+        [z, z, z, z, z, z, z, it, t, -one],
+        [-ti, z, z, z, -ti2, z, ti2, z, z, ti],
+    ]

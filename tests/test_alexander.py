@@ -15,7 +15,8 @@ from sginv.laurent import LaurentPoly
 from sginv.moves import (R2_VARIANTS, apply_r1_traced, apply_r2_traced,
                          transport_weights)
 
-from helpers import knot_corpus, small_corpus
+from helpers import (balanced_theta_weights, knot_corpus, nine_by_ten_matrix,
+                     small_corpus)
 
 
 def L(pairs):
@@ -25,24 +26,7 @@ def L(pairs):
 def test_explicit_nine_by_ten_matrix_oracle():
     """A 10-arc bouquet diagram's relation matrix at unit weights: the gcd of
     its 8x8 minors normalizes to t^2 - 2t + 2."""
-    t = L({1: 1})
-    one = L({0: 1})
-    it = one - t          # 1 - t
-    ti = L({-1: 1})       # t^-1
-    ti2 = L({-2: 1})      # t^-2
-    z = LaurentPoly.zero("t")
-    rows = [
-        [-one, it, t, z, z, z, z, z, z, z],
-        [z, -one, it, t, z, z, z, z, z, z],
-        [z, z, t, z, it, -one, z, z, z, z],
-        [z, t, z, it, -one, z, z, z, z, z],
-        [z, z, z, z, z, -one, it, z, t, z],
-        [z, z, z, it, z, z, -one, t, z, z],
-        [z, z, z, t, z, z, z, -one, it, z],
-        [z, z, z, z, z, z, z, it, t, -one],
-        [-ti, z, z, z, -ti2, z, ti2, z, z, ti],
-    ]
-    assert gcd_of_minors(rows, 8) == L({0: 2, 1: -2, 2: 1})
+    assert gcd_of_minors(nine_by_ten_matrix(), 8) == L({0: 2, 1: -2, 2: 1})
 
 
 def test_classical_knot_values():
@@ -107,25 +91,11 @@ def rotate_vertex(d, vid, k):
 
 def test_cyclic_start_independence():
     th = catalog.theta_5_4()
-    w = _balanced_weights_for_theta(th)
+    w = balanced_theta_weights(th)
     base = alexander_polynomial(th, w)
     for vid in (100, 101):
         for k in (1, 2):
             assert alexander_polynomial(rotate_vertex(th, vid, k), w) == base
-
-
-def _balanced_weights_for_theta(th):
-    """Solve for integer weights making the two trivalent vertices balanced."""
-    from sginv.diagram import derive_edges
-    from sginv.alexander import check_balanced
-    for w3 in (1, -1, 2, -2):
-        for w2 in (1, -1, 2, -2):
-            for w1 in (1, -1, 2, -2):
-                w = {"e1": w1, "e2": w2, "e3": w3}
-                ok, _ = check_balanced(th, w)
-                if ok:
-                    return w
-    raise AssertionError("no balanced weighting found")
 
 
 def test_weight_scaling_substitutes_exponents():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from helpers import fixture_path
 
@@ -66,6 +67,27 @@ def test_crossing_cap():
     r = run_cli("yamada", fixture_path("trefoil.json"), "--max-crossings", "3",
                 env_extra={"SGINV_MAX_CROSSINGS": "2"})
     assert r.returncode == 0
+
+
+def test_free_loop_cap(tmp_path):
+    """A huge free-loop count is refused at once by the subcommands that
+    build one rewiring slot per loop; the crossing cap bounds it."""
+    path = tmp_path / "loops.json"
+    path.write_text('{"vertices": [], "crossings": [], '
+                    '"free_loops": 1000000000000}')
+    for args in (("yamada",), ("constituents", "--invariant", "determinant"),
+                 ("cg",)):
+        start = time.monotonic()
+        r = run_cli(args[0], str(path), *args[1:])
+        assert time.monotonic() - start < 1.0, args
+        assert r.returncode == 1, args
+        assert r.stderr.count(b"\n") == 1
+        assert b"1000000000000 free loops" in r.stderr
+    path.write_text('{"vertices": [], "crossings": [], "free_loops": 3}')
+    assert run_cli("yamada", str(path)).returncode == 0
+    assert run_cli("yamada", str(path), "--max-crossings", "2").returncode == 1
+    r = run_cli("cg", str(path), env_extra={"SGINV_MAX_CROSSINGS": "2"})
+    assert r.returncode == 1 and b"3 free loops" in r.stderr
 
 
 def test_alexander_json_output():

@@ -9,12 +9,12 @@ import pytest
 from sginv import catalog
 from sginv.constituents import enumerate_constituents
 from sginv.diagram import (Crossing, Diagram, DiagramError, VertexNode, Wiring,
-                           canonicalize, derive_arcs, derive_edges, edge_ids,
-                           parse_diagram, parse_document, resolve_crossing,
-                           seg_to_edge_id, serialize, validate)
+                           derive_arcs, derive_edges, parse_diagram,
+                           parse_document, resolve_crossing, seg_to_edge_id,
+                           serialize, validate)
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2
 
-from helpers import read_fixture, small_corpus
+from helpers import canonicalize, edge_ids, read_fixture, small_corpus
 
 
 def test_round_trip_is_canonical():

@@ -1,0 +1,177 @@
+"""The unit-pivot reduction of the (r-1)-minor gcd against the exhaustive
+engines: `minors_gcd` over Z[t^+-1] and an `_int_det` gcd over Z, on random
+unit-rich matrices, the explicit 9x10 matrix, the fixtures and seeded braid
+closures."""
+
+import random
+from itertools import combinations
+from math import gcd
+
+import pytest
+
+from sginv import catalog
+from sginv.alexander import (_int_det, alexander_polynomial,
+                             build_alexander_matrix, gcd_of_minors,
+                             graph_determinant, uniform_weights)
+from sginv.diagram import parse_document
+from sginv.laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
+
+from helpers import (balanced_theta_weights, nine_by_ten_matrix, random_laurent,
+                     random_unit, read_fixture)
+
+
+def int_minors_gcd(matrix, k):
+    """Exhaustive gcd of the absolute k x k minors of an integer matrix."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    g = 0
+    for rset in combinations(range(rows), k):
+        for cset in combinations(range(cols), k):
+            g = gcd(g, abs(_int_det([[matrix[i][j] for j in cset]
+                                     for i in rset])))
+    return g
+
+
+def reduced_int_minors_gcd(matrix, k):
+    core, k = reduce_unit_pivots(matrix, k)
+    return int_minors_gcd(core, k)
+
+
+def random_entry(rng, unit_share):
+    roll = rng.random()
+    if roll < unit_share:
+        return random_unit(rng, span=2)
+    if roll < unit_share + 0.25:
+        return LaurentPoly.zero()
+    return random_laurent(rng, max_terms=2, span=2, cmax=3)
+
+
+def random_matrix(rng, rows, cols, unit_share=0.5):
+    return [[random_entry(rng, unit_share) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def rank_deficient(rng, rows, cols, rank):
+    """A rows x cols product of random rows x rank and rank x cols factors,
+    so every minor larger than rank vanishes."""
+    a = random_matrix(rng, rows, rank)
+    b = random_matrix(rng, rank, cols)
+    return [[sum((a[i][q] * b[q][j] for q in range(rank)), LaurentPoly.zero())
+             for j in range(cols)] for i in range(rows)]
+
+
+def at_minus_one(matrix):
+    return [[e.subs_int(-1) for e in row] for row in matrix]
+
+
+def test_reduction_shape_and_unit_counting():
+    t = LaurentPoly.monomial(1, 1)
+    two = LaurentPoly.constant(2)
+    core, k = reduce_unit_pivots([[t, two], [two, two]], 2)
+    # pivot on t at (0, 0): core [[2 - 2 t^-1 2]]
+    assert k == 1 and core == [[two - two * t ** -1 * two]]
+    assert reduce_unit_pivots([[two, two]], 1) == ([[two, two]], 1)
+    assert reduce_unit_pivots([[1, 3], [3, 1]], 2) == ([[-8]], 1)
+    assert reduce_unit_pivots([[t]], 0) == ([[t]], 0)
+    assert reduce_unit_pivots([], 0) == ([], 0)
+    assert reduce_unit_pivots([[], [], []], 0) == ([[], [], []], 0)
+    with pytest.raises(ValueError):
+        reduce_unit_pivots([[t, t]], 2)
+    with pytest.raises(ValueError):
+        reduce_unit_pivots([[t]], -1)
+
+
+def test_random_laurent_matrices_against_minors_gcd():
+    rng = random.Random(3141)
+    for trial in range(150):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        m = random_matrix(rng, rows, cols, unit_share=rng.choice((0.2, 0.5, 0.8)))
+        for k in range(min(rows, cols) + 1):
+            assert minors_gcd(*reduce_unit_pivots(m, k)) == minors_gcd(m, k), \
+                (trial, k)
+
+
+def test_random_integer_matrices_against_int_det_gcd():
+    rng = random.Random(2718)
+    for trial in range(150):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        m = at_minus_one(random_matrix(rng, rows, cols))
+        for k in range(min(rows, cols) + 1):
+            expected = int_minors_gcd(m, k)
+            assert reduced_int_minors_gcd(m, k) == expected, (trial, k)
+
+
+def test_degenerate_matrices():
+    rng = random.Random(1618)
+    zero = LaurentPoly.zero()
+    one = LaurentPoly.constant(1)
+    for rows, cols in ((1, 1), (2, 3), (4, 2)):
+        m = [[zero] * cols for _ in range(rows)]
+        for k in range(1, min(rows, cols) + 1):
+            assert minors_gcd(*reduce_unit_pivots(m, k)) == zero
+            assert reduced_int_minors_gcd(at_minus_one(m), k) == 0
+        assert minors_gcd(*reduce_unit_pivots(m, 0)) == one
+    for trial in range(40):
+        rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
+        m = rank_deficient(rng, rows, cols, rng.randrange(1, min(rows, cols)))
+        # a zero row and a zero column on top
+        m.insert(rng.randrange(rows + 1), [zero] * cols)
+        for row in m:
+            row.insert(rng.randrange(cols + 1), zero)
+        for k in range(min(rows, cols) + 2):
+            assert minors_gcd(*reduce_unit_pivots(m, k)) == minors_gcd(m, k), \
+                (trial, k)
+            im = at_minus_one(m)
+            assert reduced_int_minors_gcd(im, k) == int_minors_gcd(im, k), \
+                (trial, k)
+
+
+def test_nine_by_ten_matrix_against_exhaustive():
+    m = nine_by_ten_matrix()
+    assert gcd_of_minors(m, 8) == minors_gcd(m, 8)
+    im = at_minus_one(m)
+    assert reduced_int_minors_gcd(im, 8) == int_minors_gcd(im, 8)
+
+
+def exhaustive_invariants(d, weights):
+    """(Alexander polynomial, determinant) by full minor enumeration."""
+    m = build_alexander_matrix(d, weights)
+    r = m.row_count
+    if r == 0:
+        return LaurentPoly.constant(1), 1
+    rows = [list(row) for row in m.rows]
+    k = r - 1
+    g = minors_gcd(rows, k)
+    det = int_minors_gcd(at_minus_one(rows), k) if k else 1
+    return g if g.is_zero() else g.normalize_units(), det
+
+
+def assert_matches_exhaustive(d, weights, label):
+    expected = exhaustive_invariants(d, weights)
+    got = (alexander_polynomial(d, weights), graph_determinant(d, weights))
+    assert got == expected, label
+
+
+# every diagram fixture; k7 (42 relations over 56 arcs) is out of reach of
+# the exhaustive engines
+FIXTURES = ("figure_eight", "kink_neg", "kink_pos", "knot_5_2", "theta_5_3",
+            "theta_5_4", "theta_trivial", "theta_weighted", "torus_2_5",
+            "trefoil", "unknot")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures_against_exhaustive(name):
+    d, weights = parse_document(read_fixture(f"{name}.json"))
+    if weights is None:
+        weights = (balanced_theta_weights(d) if d.vertices
+                   else uniform_weights(d))
+    assert_matches_exhaustive(d, weights, name)
+
+
+def test_braid_closures_against_exhaustive():
+    rng = random.Random(9)
+    for strands, length in ((3, 9), (3, 10), (4, 11), (3, 12)):
+        word = [rng.choice((1, -1)) * rng.randrange(1, strands)
+                for _ in range(length)]
+        d = catalog.braid_closure(strands, word)
+        assert_matches_exhaustive(d, uniform_weights(d), (strands, word))
