@@ -7,9 +7,11 @@ signed weight sum at every vertex vanishes (sign +1 for an edge directed in,
 and one per vertex,
     sum_i eps_i t^(m_i) a_i = 0,
     m_i = eps_1 w_1 + ... + eps_(i-1) w_(i-1) + min(eps_i, 0) w_i,
-over the arcs of the diagram.  The Alexander polynomial is the gcd of the
-(r-1) x (r-1) minors, r the number of relations; the graph determinant is
-the integer analogue at t = -1.
+over the arcs of the diagram.  A free loop counts as one more arc with a
+trivial relation (a zero row and a zero column), as the kink diagram it is
+isotopic to has.  The Alexander polynomial is the gcd of the (r-1) x (r-1)
+minors, r the number of relations; the graph determinant is the integer
+analogue at t = -1.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def check_balanced(d: Diagram, weights):
 @dataclass(frozen=True)
 class AlexanderMatrix:
     rows: tuple           # tuple of tuples of LaurentPoly in t
-    arcs: Partition       # column order
-    row_labels: tuple     # "crossing i" / "vertex v"
+    arcs: Partition       # column order; the free loops' columns follow
+    row_labels: tuple     # "crossing i" / "vertex v" / "free loop i"
 
     @property
     def row_count(self):
@@ -69,7 +71,7 @@ class AlexanderMatrix:
 
     @property
     def col_count(self):
-        return len(self.arcs)
+        return len(self.rows[0]) if self.rows else 0
 
 
 def crossing_arc_roles(d: Diagram, idx: int, arcs: Partition):
@@ -91,7 +93,7 @@ def build_alexander_matrix(d: Diagram, weights) -> AlexanderMatrix:
         raise WeightError(f"unbalanced weighting, residuals {residuals}")
     wseg = _weight_by_segment(d, weights)
     arcs = derive_arcs(d)
-    ncols = len(arcs)
+    ncols = len(arcs) + d.free_loops
 
     rows = []
     labels = []
@@ -118,6 +120,8 @@ def build_alexander_matrix(d: Diagram, weights) -> AlexanderMatrix:
             prefix += eps * w
         rows.append(tuple(coeffs))
         labels.append(f"vertex v{v.id}")
+    rows += [(LaurentPoly.zero(VAR),) * ncols] * d.free_loops
+    labels += [f"free loop {i + 1}" for i in range(d.free_loops)]
     return AlexanderMatrix(tuple(rows), arcs, tuple(labels))
 
 
@@ -224,10 +228,11 @@ def _reduce_word(letters):
 
 def wirtinger_presentation(d: Diagram) -> Presentation:
     """One generator per arc; relator b^-s a b^s c^-1 per crossing (s the
-    crossing sign) and the signed cyclic product per vertex."""
+    crossing sign) and the signed cyclic product per vertex.  Each free loop
+    adds one generator with the trivial relator, as a kink would."""
     require_valid(d)
     arcs = derive_arcs(d)
-    gens = tuple(f"a{i + 1}" for i in range(len(arcs)))
+    gens = tuple(f"a{i + 1}" for i in range(len(arcs) + d.free_loops))
     relators = []
     for i, c in enumerate(d.crossings):
         a, b, cc = crossing_arc_roles(d, i, arcs)
@@ -240,4 +245,4 @@ def wirtinger_presentation(d: Diagram) -> Presentation:
             eps = 1 if direction == "in" else -1
             letters.append((gens[arcs.index_of(seg)], eps))
         relators.append(_reduce_word(letters))
-    return Presentation(gens, tuple(relators))
+    return Presentation(gens, tuple(relators) + ((),) * d.free_loops)

@@ -41,11 +41,18 @@ def _read(path):
         raise CliError(2, f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load(path, check=True):
+def _load(args, check=True):
+    """Parse args.file; a checked diagram's free loops must fit the cap."""
     try:
-        return parse_document(_read(path), check=check)
+        d, weights = parse_document(_read(args.file), check=check)
     except DiagramError as exc:
-        raise CliError(2, f"{path}: {exc}") from None
+        raise CliError(2, f"{args.file}: {exc}") from None
+    if check:
+        cap = _crossing_cap(getattr(args, "max_crossings", None))
+        if d.free_loops > cap:
+            raise CliError(1, f"diagram has {d.free_loops} free loops, above "
+                              f"the cap of {cap}")
+    return d, weights
 
 
 def _dump(obj):
@@ -92,15 +99,8 @@ def _crossing_cap(flag=None):
     return DEFAULT_MAX_CROSSINGS
 
 
-def _check_free_loops(d, cap):
-    if d.free_loops > cap:
-        raise CliError(1, f"diagram has {d.free_loops} free loops, above "
-                          f"the cap of {cap}")
-
-
 def _check_cap(d, args):
     cap = _crossing_cap(args.max_crossings)
-    _check_free_loops(d, cap)
     if len(d.crossings) > cap:
         raise CliError(1, f"diagram has {len(d.crossings)} crossings, above "
                           f"the cap of {cap}; raise --max-crossings")
@@ -130,7 +130,7 @@ def _quandle_from_args(args):
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_validate(args):
-    d, _ = _load(args.file, check=False)
+    d, _ = _load(args, check=False)
     issues = validate(d)
     if args.json:
         print(_dump({"valid": not issues, "violations": issues}))
@@ -140,7 +140,7 @@ def _cmd_validate(args):
 
 
 def _cmd_yamada(args):
-    d, _ = _load(args.file)
+    d, _ = _load(args)
     _check_cap(d, args)
     poly = yamada_normalized(d).normalized if args.normalized else yamada_raw(d)
     _emit(args, {"yamada": poly.to_pairs()}, str(poly))
@@ -148,7 +148,7 @@ def _cmd_yamada(args):
 
 
 def _cmd_alexander(args):
-    d, file_weights = _load(args.file)
+    d, file_weights = _load(args)
     weights = _resolve_weights(d, file_weights, _parse_weight_flags(args.weight))
     poly = alexander_polynomial(d, weights)
     _emit(args, {"alexander": poly.to_pairs()}, str(poly))
@@ -156,7 +156,7 @@ def _cmd_alexander(args):
 
 
 def _cmd_determinant(args):
-    d, file_weights = _load(args.file)
+    d, file_weights = _load(args)
     weights = _resolve_weights(d, file_weights, _parse_weight_flags(args.weight))
     det = graph_determinant(d, weights)
     _emit(args, {"determinant": det}, str(det))
@@ -164,14 +164,14 @@ def _cmd_determinant(args):
 
 
 def _cmd_colorings(args):
-    d, _ = _load(args.file)
+    d, _ = _load(args)
     count = count_colorings(d, _quandle_from_args(args))
     _emit(args, {"colorings": count}, str(count))
     return 0
 
 
 def _cmd_pcolor(args):
-    d, _ = _load(args.file)
+    d, _ = _load(args)
     answer = is_p_colorable(d, args.p)
     _emit(args, {"p_colorable": answer},
           "colorable" if answer else "not colorable")
@@ -179,8 +179,7 @@ def _cmd_pcolor(args):
 
 
 def _cmd_constituents(args):
-    d, _ = _load(args.file)
-    _check_free_loops(d, _crossing_cap())
+    d, _ = _load(args)
     members = enumerate_constituents(d)
     if args.drop_empty:
         members = [m for m in members if not m.is_empty]
@@ -201,7 +200,7 @@ def _cmd_constituents(args):
 
 
 def _cmd_group(args):
-    d, _ = _load(args.file)
+    d, _ = _load(args)
     pres = wirtinger_presentation(d)
     if args.json:
         print(_dump({"generators": list(pres.generators),
@@ -213,8 +212,7 @@ def _cmd_group(args):
 
 
 def _cmd_cg(args):
-    d, _ = _load(args.file)
-    _check_free_loops(d, _crossing_cap())
+    d, _ = _load(args)
     total = conway_gordon_sum(d)
     _emit(args, {"conway_gordon": total}, str(total))
     return 0

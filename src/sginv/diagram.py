@@ -268,7 +268,6 @@ class UnionFind:
 class Partition:
     """Segments grouped into classes, numbered by least contained segment."""
     classes: tuple          # tuple of sorted segment tuples, sorted by min seg
-    vertex_incidences: tuple  # per class: tuple of (vertex id, direction) uses
     is_closed: tuple        # per class: no vertex incidence at all
     class_of: dict = field(compare=False, repr=False)  # segment -> class index
 
@@ -291,12 +290,10 @@ def _partition(d: Diagram, merge_under: bool) -> Partition:
         groups.setdefault(uf.find(s), []).append(s)
     classes = sorted((tuple(sorted(g)) for g in groups.values()), key=min)
     class_of = {s: i for i, cls in enumerate(classes) for s in cls}
-    incidences = [[] for _ in classes]
-    for v in d.vertices:
-        for s, direction in v.incident:
-            incidences[class_of[s]].append((v.id, direction))
-    return Partition(tuple(classes), tuple(map(tuple, incidences)),
-                     tuple(not inc for inc in incidences), class_of)
+    touched = {class_of[s] for v in d.vertices for s, _ in v.incident}
+    return Partition(tuple(classes),
+                     tuple(i not in touched for i in range(len(classes))),
+                     class_of)
 
 
 def derive_arcs(d: Diagram) -> Partition:
@@ -565,14 +562,16 @@ class Wiring:
 # Crossing resolution
 # ---------------------------------------------------------------------------
 
-def _smoothing_pairs(sign, oriented):
-    """Slot-name pairs joined by a planar smoothing.
+def smoothing_pairs(sign, mode):
+    """Slot-name pairs joined by the A- or B-smoothing of a crossing.
 
-    The orientation-coherent smoothing always joins over_in->under_out and
-    under_in->over_out.  The other adjacent pairing in the planar cyclic
-    order reverses one strand.
+    The orientation-coherent smoothing joins over_in->under_out and
+    under_in->over_out; the other adjacent pairing in the planar cyclic
+    order reverses one strand.  The A-smoothing is the coherent one exactly
+    when sign = +1: this calibration makes a chirality-(+1) kink contribute
+    an exact A^2 factor to the Yamada polynomial.
     """
-    if oriented:
+    if (mode == "A") == (sign == 1):
         return (("over_in", "under_out"), ("under_in", "over_out"))
     if sign == 1:
         return (("under_out", "over_out"), ("under_in", "over_in"))
@@ -583,10 +582,8 @@ def resolve_crossing(d: Diagram, idx: int, mode: str) -> Diagram:
     """Replace crossing `idx` by one of its three resolutions.
 
     mode "V" installs a rigid 4-valent vertex in the crossing's planar
-    cyclic order.  Modes "A" and "B" are the two planar smoothings; the
-    assignment is calibrated so that a chirality-(+1) kink contributes an
-    exact A^2 factor to the Yamada polynomial, which puts the A-smoothing
-    on the orientation-coherent pairing exactly when sign = +1.
+    cyclic order.  Modes "A" and "B" are the two planar smoothings of
+    `smoothing_pairs`.
     """
     if not 0 <= idx < len(d.crossings):
         raise IndexError(f"crossing index {idx} out of range")
@@ -605,8 +602,7 @@ def resolve_crossing(d: Diagram, idx: int, mode: str) -> Diagram:
 
     w = Wiring(d)
     ends = w.cut_crossing(idx)
-    sign = ends["sign"]
-    first, second = _smoothing_pairs(sign, (mode == "A") == (sign == 1))
+    first, second = smoothing_pairs(ends["sign"], mode)
     rep = w.join(ends[first[0]], ends[first[1]])
     a = _remap_end(w, ends[second[0]], rep)
     b = _remap_end(w, ends[second[1]], rep)

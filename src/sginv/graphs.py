@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .diagram import Diagram, DiagramError, UnionFind, derive_edges
+from .diagram import Diagram, DiagramError, UnionFind, smoothing_pairs
 
 
 @dataclass(frozen=True)
@@ -28,23 +28,32 @@ class AbstractGraph:
         return AbstractGraph(vertex_count, norm, free_loops)
 
 
-def to_abstract_graph(d: Diagram) -> AbstractGraph:
-    """Forget everything but incidence.  Requires a crossing-free diagram;
-    closed components and free loops both land in the free_loops count."""
-    if d.crossings:
-        raise DiagramError("diagram still has crossings")
-    vids = sorted(v.id for v in d.vertices)
-    index = {vid: i for i, vid in enumerate(vids)}
-    edges = []
-    loops = d.free_loops
-    part = derive_edges(d)
-    for inc, closed in zip(part.vertex_incidences, part.is_closed):
-        if closed:
-            loops += 1
+def to_abstract_graph(d: Diagram, state=()) -> AbstractGraph:
+    """The crossing-free residue of `d` in one crossing state (the default
+    fits crossing-free diagrams): "A"/"B" at state[i] joins the slots of
+    crossing i as `smoothing_pairs` says, "V" makes it a 4-valent vertex
+    after the diagram's own (in id order).  A class of the union-find over
+    segments is an edge if it has two vertex ends, else a free loop."""
+    if len(state) != len(d.crossings) or not set(state) <= {"A", "B", "V"}:
+        raise DiagramError(f"state {state!r:.40} does not resolve the "
+                           f"{len(d.crossings)} crossings")
+    segs = d.segment_ids()
+    uf = UnionFind(segs)
+    ends = [[s for s, _ in v.incident]
+            for v in sorted(d.vertices, key=lambda v: v.id)]
+    for c, mode in zip(d.crossings, state):
+        if mode == "V":
+            ends.append([c.over_in, c.over_out, c.under_in, c.under_out])
         else:
-            assert len(inc) == 2, f"edge with {len(inc)} vertex attachments"
-            edges.append((index[inc[0][0]], index[inc[1][0]]))
-    return AbstractGraph.make(len(vids), edges, loops)
+            for a, b in smoothing_pairs(c.sign, mode):
+                uf.union(getattr(c, a), getattr(c, b))
+    attached = {}
+    for i, vertex_segs in enumerate(ends):
+        for s in vertex_segs:
+            attached.setdefault(uf.find(s), []).append(i)
+    closed = len({uf.find(s) for s in segs}) - len(attached)
+    return AbstractGraph.make(len(ends), attached.values(),
+                              d.free_loops + closed)
 
 
 def delete_edge(g: AbstractGraph, e) -> AbstractGraph:

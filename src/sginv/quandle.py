@@ -122,7 +122,8 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
     Backtracking with crossing-relation pruning; the vertex condition (the
     composite translation at each vertex fixes every arc color, following
     the every-generator quantifier of the vertex relation) is checked on
-    complete assignments.
+    complete assignments.  A free loop is one more arc under no crossing
+    relation, as a kink would be: it takes any color that condition fixes.
     """
     require_valid(d)
     bad = verify_quandle(X.op, X.inv)
@@ -130,9 +131,10 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
         raise QuandleError(f"not a quandle: {bad[:3]}")
     arcs = derive_arcs(d)
     n_arcs = len(arcs)
+    loops = d.free_loops
     if n_arcs == 0:
-        # only free loops: a single empty coloring
-        return 1
+        # only free loops, and no vertex condition on their colors
+        return X.n ** loops
 
     roles = [crossing_arc_roles(d, i, arcs) for i in range(len(d.crossings))]
     signs = [c.sign for c in d.crossings]
@@ -162,17 +164,13 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
         fire = max(pos[a], pos[b], pos[c])
         checks_at[fire].append(idx)
 
-    def vertex_ok(colors):
+    def fixed(col):
+        """True when every vertex translation fixes col."""
         for tr in vertex_tr:
-            fixed = None
-            for col in set(colors):
-                x = col
-                for (arc, eps) in tr:
-                    x = X.apply(x, colors[arc], eps)
-                if x != col:
-                    fixed = False
-                    break
-            if fixed is False:
+            x = col
+            for (arc, eps) in tr:
+                x = X.apply(x, colors[arc], eps)
+            if x != col:
                 return False
         return True
 
@@ -182,8 +180,8 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
     def search(depth):
         nonlocal total
         if depth == n_arcs:
-            if vertex_ok(colors):
-                total += 1
+            if all(map(fixed, set(colors))):
+                total += sum(map(fixed, range(X.n))) ** loops if loops else 1
             return
         arc = order[depth]
         for col in range(X.n):
@@ -220,7 +218,7 @@ def count_constant_colorings(d: Diagram, X: FiniteQuandle) -> int:
     require_valid(d)
     arcs = derive_arcs(d)
     if len(arcs) == 0:
-        return 1
+        return X.n if d.free_loops else 1
     vertex_tr = _vertex_translations(d, arcs)
     count = 0
     for col in range(X.n):

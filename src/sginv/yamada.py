@@ -1,20 +1,23 @@
 """The Yamada polynomial of a spatial graph diagram.
 
-Crossings are eliminated by the three-term resolution (A-smoothing,
-B-smoothing, rigid vertex); the crossing-free residue is an abstract
-multigraph evaluated by delete/contract down to bouquets of circles, with
-R(B_n) = -(-sigma)^n and sigma = A + 1 + A^-1.  The raw polynomial is a
-regular rigid-vertex isotopy invariant; (-A)^-m R with m the least exponent
-is invariant under kinks as well.
+The skein relation R(D) = A R(D_A) + A^-1 R(D_B) + R(D_V) is local, so R is
+a state sum: each of the 3^c crossing states (each crossing A- or B-smoothed
+or made a rigid vertex) adds A^(#A - #B) times the value of its crossing-free
+residue graph.  Each distinct residue is evaluated once by delete/contract
+down to bouquets, R(B_n) = -(-sigma)^n with sigma = A + 1 + A^-1, memoized
+per connected component as `connected_components` labels it.  The raw
+polynomial is a regular rigid-vertex isotopy invariant; (-A)^-m R with m the
+least exponent is invariant under kinks as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .diagram import Diagram, require_valid, resolve_crossing
-from .graphs import (AbstractGraph, canonical_certificate, connected_components,
-                     contract_edge, delete_edge, to_abstract_graph)
+from .diagram import Diagram, require_valid
+from .graphs import (AbstractGraph, connected_components, contract_edge,
+                     delete_edge, to_abstract_graph)
 from .laurent import LaurentPoly
 
 VAR = "A"
@@ -30,8 +33,8 @@ def eval_crossing_free(g: AbstractGraph, memo=None) -> LaurentPoly:
 
     Connected components multiply; a component with a nonloop edge e splits
     as eval(G - e) + eval(G / e); what remains is a bouquet B_k worth
-    -(-sigma)^k.  Free loops are B_1 factors (sigma each).  Results are
-    memoized on the canonical isomorphism certificate.
+    -(-sigma)^k.  Free loops are B_1 factors (sigma each).  Component values
+    are memoized on the labelled component itself.
     """
     if memo is None:
         memo = {}
@@ -39,43 +42,33 @@ def eval_crossing_free(g: AbstractGraph, memo=None) -> LaurentPoly:
     comps, loops = connected_components(g)
     out = s ** loops if loops else LaurentPoly.constant(1, VAR)
     for comp in comps:
-        out = out * _eval_component(comp, memo, s)
+        val = memo.get(comp)
+        if val is None:
+            nonloop = next((e for e in comp.edges if e[0] != e[1]), None)
+            if nonloop is None:
+                # a connected loops-only graph is one vertex with k loops: B_k
+                val = -((-s) ** len(comp.edges))
+            else:
+                val = (eval_crossing_free(delete_edge(comp, nonloop), memo)
+                       + eval_crossing_free(contract_edge(comp, nonloop), memo))
+            memo[comp] = val
+        out = out * val
     return out
 
 
-def _eval_component(g: AbstractGraph, memo, s) -> LaurentPoly:
-    cert = canonical_certificate(g)
-    hit = memo.get(cert)
-    if hit is not None:
-        return hit
-    nonloop = next((e for e in g.edges if e[0] != e[1]), None)
-    if nonloop is None:
-        # a connected loops-only graph is a single vertex with k loops: B_k
-        k = len(g.edges)
-        val = -((-s) ** k)
-    else:
-        val = (eval_crossing_free(delete_edge(g, nonloop), memo)
-               + eval_crossing_free(contract_edge(g, nonloop), memo))
-    memo[cert] = val
-    return val
-
-
-def yamada_raw(d: Diagram, memo=None) -> LaurentPoly:
-    """R(G): resolve crossings (least index first) down to abstract graphs."""
+def yamada_raw(d: Diagram) -> LaurentPoly:
+    """R(G) as a state sum over the A/B/V resolutions of every crossing."""
     require_valid(d)
-    if memo is None:
-        memo = {}
-    return _raw(d, memo)
-
-
-def _raw(d: Diagram, memo) -> LaurentPoly:
-    if not d.crossings:
-        return eval_crossing_free(to_abstract_graph(d), memo)
-    a = LaurentPoly.monomial(1, 1, VAR)
-    a_inv = LaurentPoly.monomial(1, -1, VAR)
-    return (a * _raw(resolve_crossing(d, 0, "A"), memo)
-            + a_inv * _raw(resolve_crossing(d, 0, "B"), memo)
-            + _raw(resolve_crossing(d, 0, "V"), memo))
+    exponents = {}  # residue graph -> {A-exponent: number of states}
+    for state in product("ABV", repeat=len(d.crossings)):
+        counts = exponents.setdefault(to_abstract_graph(d, state), {})
+        e = state.count("A") - state.count("B")
+        counts[e] = counts.get(e, 0) + 1
+    memo = {}
+    total = LaurentPoly.zero(VAR)
+    for g, counts in exponents.items():
+        total = total + LaurentPoly(counts, VAR) * eval_crossing_free(g, memo)
+    return total
 
 
 @dataclass(frozen=True)

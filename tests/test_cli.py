@@ -7,6 +7,10 @@ import subprocess
 import sys
 import time
 
+from sginv import catalog
+from sginv.diagram import Diagram, serialize
+from sginv.moves import disjoint_union
+
 from helpers import fixture_path
 
 CLI = [sys.executable, "-m", "sginv.cli"]
@@ -71,12 +75,13 @@ def test_crossing_cap():
 
 def test_free_loop_cap(tmp_path):
     """A huge free-loop count is refused at once by the subcommands that
-    build one rewiring slot per loop; the crossing cap bounds it."""
+    spend work on each loop; the crossing cap bounds it."""
     path = tmp_path / "loops.json"
     path.write_text('{"vertices": [], "crossings": [], '
                     '"free_loops": 1000000000000}')
     for args in (("yamada",), ("constituents", "--invariant", "determinant"),
-                 ("cg",)):
+                 ("cg",), ("alexander",), ("determinant",), ("group",),
+                 ("colorings", "--dihedral", "3"), ("pcolor", "--p", "3")):
         start = time.monotonic()
         r = run_cli(args[0], str(path), *args[1:])
         assert time.monotonic() - start < 1.0, args
@@ -88,6 +93,35 @@ def test_free_loop_cap(tmp_path):
     assert run_cli("yamada", str(path), "--max-crossings", "2").returncode == 1
     r = run_cli("cg", str(path), env_extra={"SGINV_MAX_CROSSINGS": "2"})
     assert r.returncode == 1 and b"3 free loops" in r.stderr
+
+
+def test_free_loops_read_as_kinks(tmp_path):
+    """A free loop is isotopic to a kinked unknot, so the Alexander-type and
+    coloring invariants read a diagram with free loops exactly as the one
+    with kinks in their place."""
+    kink, tre, th = (catalog.kinked_unknot(1), catalog.trefoil(),
+                     catalog.theta_trivial())
+    pairs = {"unknot": (Diagram(free_loops=1), kink),
+             "two_loops": (Diagram(free_loops=2), disjoint_union(kink, kink)),
+             "trefoil": (Diagram((), tre.crossings, 1),
+                         disjoint_union(tre, kink)),
+             "theta": (Diagram(th.vertices, (), 1), disjoint_union(th, kink))}
+    commands = [("colorings", "--dihedral", "3"), ("pcolor", "--p", "3"),
+                ("alexander", "--json"), ("determinant", "--json")]
+    for name, (loops, kinks) in pairs.items():
+        files = []
+        for side, d in (("loops", loops), ("kinks", kinks)):
+            files.append(tmp_path / f"{name}-{side}.json")
+            files[-1].write_text(serialize(d, {"e1": 1, "e2": 1, "e3": -2}
+                                           if name == "theta" else None))
+        # group: the kink's trivial relator comes before the theta's vertex
+        # relators, the free loop's after them
+        for args in commands + ([("group",)] if name != "theta" else []):
+            got = [run_cli(args[0], str(f), *args[1:]) for f in files]
+            assert got[0].returncode == got[1].returncode == 0, (name, args)
+            assert got[0].stdout == got[1].stdout, (name, args)
+    r = run_cli("colorings", fixture_path("unknot.json"), "--dihedral", "3")
+    assert r.stdout == b"3\n"
 
 
 def test_alexander_json_output():

@@ -1,15 +1,19 @@
-"""Abstract multigraphs: deletion/contraction, components, and the
-isomorphism certificate under random relabelings."""
+"""Abstract multigraphs: deletion/contraction, components, the
+isomorphism certificate under random relabelings, and the state residues
+against crossing-by-crossing resolution."""
 
 import random
+from itertools import product
 
 import pytest
 
 from sginv import catalog
-from sginv.diagram import DiagramError
+from sginv.diagram import DiagramError, resolve_crossing
 from sginv.graphs import (AbstractGraph, canonical_certificate,
                           connected_components, contract_edge, delete_edge,
                           to_abstract_graph)
+
+from helpers import small_corpus
 
 
 def theta_graph():
@@ -29,6 +33,25 @@ def test_to_abstract_graph():
     assert to_abstract_graph(catalog.unknot()) == AbstractGraph.make(0, [], 1)
     with pytest.raises(DiagramError):
         to_abstract_graph(catalog.trefoil())  # still has crossings
+
+
+def test_state_residue_matches_resolution():
+    """The one-pass residue of every crossing state is isomorphic to the
+    residue left by resolving the crossings one at a time, highest index
+    first, with `resolve_crossing`."""
+    for name, d in small_corpus().items():
+        n = len(d.crossings)
+        for state in product("ABV", repeat=n):
+            resolved = d
+            for idx in reversed(range(n)):
+                resolved = resolve_crossing(resolved, idx, state[idx])
+            assert (canonical_certificate(to_abstract_graph(d, state))
+                    == canonical_certificate(to_abstract_graph(resolved))), \
+                (name, state)
+    tre = catalog.trefoil()
+    for state in ("AB", "ABVA", "ABQ", ""):
+        with pytest.raises(DiagramError):
+            to_abstract_graph(tre, tuple(state))
 
 
 def test_delete_and_contract_on_theta():

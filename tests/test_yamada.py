@@ -2,10 +2,11 @@
 oracle, multiplicativity, move behavior, and tabulated theta-curve values."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from sginv import catalog
-from sginv.diagram import Crossing, Diagram, VertexNode, resolve_crossing
+from sginv.diagram import (Crossing, Diagram, UnionFind, VertexNode,
+                           resolve_crossing)
 from sginv.graphs import (AbstractGraph, connected_components, contract_edge,
                           delete_edge, to_abstract_graph)
 from sginv.laurent import LaurentPoly
@@ -50,6 +51,32 @@ def slow_eval(g):
             out = out * (slow_eval(delete_edge(comp, nonloop))
                          + slow_eval(contract_edge(comp, nonloop)))
     return out
+
+
+def subset_expansion(g):
+    """sigma^(free loops) * sum over kept edge sets K of
+    (-1)^mu(K) y^beta(K), y = -A - 2 - A^-1, with mu the number of
+    components of (V, K) and beta = |K| - |V| + mu its cycle rank."""
+    y = -A - 2 * ONE - A_inv
+    out = LaurentPoly.zero("A")
+    for k in range(len(g.edges) + 1):
+        for kept in combinations(g.edges, k):
+            uf = UnionFind(range(g.vertex_count))
+            for u, v in kept:
+                uf.union(u, v)
+            mu = len({uf.find(v) for v in range(g.vertex_count)})
+            out = out + (-1) ** mu * y ** (k - g.vertex_count + mu)
+    return out * sigma() ** g.free_loops
+
+
+def test_crossing_free_matches_subset_expansion():
+    rng = random.Random(2010)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 7))]
+        g = AbstractGraph.make(n, edges, rng.randint(0, 2))
+        assert eval_crossing_free(g) == subset_expansion(g), g
 
 
 def test_base_cases():
