@@ -26,6 +26,11 @@ from .laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
 
 VAR = "t"
 
+# Refusal bound for gcd_of_minors: the exponent span of the reduced matrix
+# times the minor size, about the length of the dense coefficient lists
+# that Bareiss elimination and the gcd build.
+MAX_DENSE_TERMS = 10 ** 5
+
 
 class WeightError(ValueError):
     """Missing or unbalanced edge weights."""
@@ -129,8 +134,17 @@ def gcd_of_minors(rows, k) -> LaurentPoly:
     """GCD over all k x k minors; k = 0 gives 1, all-zero gives 0.
 
     Unit pivots shrink the problem first; only the leftover core is
-    enumerated exhaustively."""
-    return minors_gcd(*reduce_unit_pivots(rows, k))
+    enumerated exhaustively, and it is refused (WeightError) when its dense
+    form would exceed MAX_DENSE_TERMS."""
+    core, k = reduce_unit_pivots(rows, k)
+    exps = [e for row in core for p in row if not p.is_zero()
+            for e in (p.min_degree, p.max_degree)]
+    span = max(exps) - min(min(exps), 0) if exps else 0
+    if span * k > MAX_DENSE_TERMS:
+        raise WeightError(f"weights too large: exponent span {span} times "
+                          f"minor size {k} is about {span * k} dense "
+                          f"coefficients, above the limit of {MAX_DENSE_TERMS}")
+    return minors_gcd(core, k)
 
 
 def _relation_minors(d: Diagram, weights):

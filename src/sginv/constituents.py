@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .alexander import alexander_polynomial, graph_determinant, uniform_weights
-from .diagram import Diagram, DiagramError, Wiring, derive_edges, require_valid
+from .diagram import Diagram, DiagramError, derive_edges, rejoin, require_valid
 from .yamada import yamada_raw
 
 
@@ -43,42 +43,10 @@ def _choice_space(d: Diagram):
 def _extract(d: Diagram, choice) -> ConstituentLink:
     """Apply a vertex choice: join the chosen pair through each vertex,
     delete open strands, splice surviving strands through lost crossings."""
-    w = Wiring(d)
-    for vid, (i, j) in choice:
-        ends = w.remove_vertex(vid)
-        w.join(ends[i], ends[j], carry={vid})
-
-    doomed = set()
-    for s in w.dangling_segments():
-        if s not in doomed:
-            doomed |= w.strand_segments(s)
-    for cid in list(w.crossings):
-        c = w.crossings[cid]
-        over_dead = c["over_in"] in doomed
-        under_dead = c["under_in"] in doomed
-        if over_dead and under_dead:
-            w.cut_crossing(cid)
-        elif over_dead:
-            w.splice_out_level(cid, "under")
-        elif under_dead:
-            w.splice_out_level(cid, "over")
-    for s in doomed:
-        w.segments.discard(s)
-        w.carried.pop(s, None)
-
-    link = w.to_diagram()
-    part = derive_edges(link)
-    assert all(part.is_closed), "open strand survived extraction"
-    comp_vertices = []
-    for cls in part.classes:
-        verts = set()
-        for s in cls:
-            verts |= w.carried.get(s, set())
-        comp_vertices.append(frozenset(verts))
-    comp_vertices.extend(frozenset(v) for v in w.loop_carried)
-    return ConstituentLink(link, tuple(choice),
-                           len(part.classes) + link.free_loops,
-                           tuple(comp_vertices))
+    link, comps = rejoin(d, [(("v", vid, i), ("v", vid, j))
+                             for vid, (i, j) in choice])
+    assert not link.vertices, "a vertex survived extraction"
+    return ConstituentLink(link, tuple(choice), len(comps), comps)
 
 
 def enumerate_constituents(d: Diagram):
@@ -151,7 +119,9 @@ def hamiltonian_constituents(d: Diagram):
             if len(ends) == 2 and ends[0] == ends[1]:
                 cycles.add(frozenset([ei]))
     else:
-        def walk(vertex, visited, used):
+        stack = [(start, frozenset([start]), frozenset())]
+        while stack:
+            vertex, visited, used = stack.pop()
             for ei in incident[vertex]:
                 if ei in used:
                     continue
@@ -160,10 +130,9 @@ def hamiltonian_constituents(d: Diagram):
                     continue
                 nxt = v if u == vertex else u
                 if nxt == start and len(visited) == n:
-                    cycles.add(frozenset(used | {ei}))
+                    cycles.add(used | {ei})
                 elif nxt not in visited:
-                    walk(nxt, visited | {nxt}, used | {ei})
-        walk(start, {start}, frozenset())
+                    stack.append((nxt, visited | {nxt}, used | {ei}))
 
     out = []
     for cycle in sorted(cycles, key=sorted):

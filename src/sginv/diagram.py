@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import count
 
 
 class DiagramError(ValueError):
@@ -315,7 +316,7 @@ def seg_to_edge_id(edges: Partition):
 
 
 # ---------------------------------------------------------------------------
-# Mutable rewiring engine
+# Move insertion
 # ---------------------------------------------------------------------------
 
 _CROSSING_SLOTS = ("over_in", "over_out", "under_in", "under_out")
@@ -323,26 +324,20 @@ _CROSSING_SLOTS = ("over_in", "over_out", "under_in", "under_out")
 _KIND = {"in": "head", "out": "tail", "over_in": "head", "under_in": "head",
          "over_out": "tail", "under_out": "tail"}
 _DIRECTION = {"head": "in", "tail": "out"}
-_FLIP = {"head": "tail", "tail": "head"}
 
 
 class Wiring:
-    """Mutable attachment structure behind crossing resolution, Reidemeister
-    move insertion and constituent extraction.
+    """Mutable attachment structure behind Reidemeister move insertion: new
+    segments and crossings, and slots re-pointed from a replaced segment to
+    a new one.
 
     Segment ends are addressed as (segment id, "head"|"tail").  Heads attach
-    at vertex "in" slots and crossing *_in slots; tails at "out" slots.  Ends
-    not attached anywhere are dangling; they only exist transiently while a
-    sequence of operations is in flight.
+    at vertex "in" slots and crossing *_in slots; tails at "out" slots.
 
-    Index invariant: between operations, `_ends` maps every attached end to
-    its slot, ("v", vid, slot index) or ("c", cid, slot name), and holds no
-    other key.  Slot writes go through `_set`, and vertices and crossings are
-    added and removed only by the methods below, so callers read
-    `vertices` and `crossings` but never assign into them.
-
-    `carried` tracks, per segment, the vertex ids absorbed into it by joins
-    (used for Hamiltonian-cycle bookkeeping in constituent extraction).
+    Index invariant: `_ends` maps every attached end to its slot, ("v", vid,
+    slot index) or ("c", cid, slot name), and holds no other key.  Slot
+    writes go through `_set` and crossings are added only by `new_crossing`,
+    so callers read `vertices` and `crossings` but never assign into them.
     """
 
     def __init__(self, d: Diagram):
@@ -354,27 +349,17 @@ class Wiring:
                 ends[(s, _KIND[direction])] = ("v", v.id, i)
         self.crossings = {}
         for i, c in enumerate(d.crossings):
-            self.crossings[i] = {"over_in": c.over_in, "over_out": c.over_out,
-                                 "under_in": c.under_in, "under_out": c.under_out,
-                                 "sign": c.sign}
-            ends[(c.over_in, "head")] = ("c", i, "over_in")
-            ends[(c.over_out, "tail")] = ("c", i, "over_out")
-            ends[(c.under_in, "head")] = ("c", i, "under_in")
-            ends[(c.under_out, "tail")] = ("c", i, "under_out")
+            self.crossings[i] = {**c.slots(), "sign": c.sign}
+            for name in _CROSSING_SLOTS:
+                ends[(getattr(c, name), _KIND[name])] = ("c", i, name)
         self._ends = ends
         self.free_loops = d.free_loops
-        self.carried = {}
-        self.loop_carried = [set() for _ in range(d.free_loops)]
-        self.segments = {s for s, _ in ends}
-        self._next_seg = max(self.segments, default=-1) + 1
+        self._next_seg = max((s for s, _ in ends), default=-1) + 1
         self._next_crossing = len(d.crossings)
-
-    # -- allocation and removal --------------------------------------------
 
     def new_segment(self):
         s = self._next_seg
         self._next_seg += 1
-        self.segments.add(s)
         return s
 
     def new_crossing(self, over_in, over_out, under_in, under_out, sign):
@@ -387,29 +372,8 @@ class Wiring:
             self._ends[(c[name], _KIND[name])] = ("c", cid, name)
         return cid
 
-    def remove_vertex(self, vid):
-        """Remove a vertex, returning the ends it held, now dangling, in slot
-        order: [(seg, "head"|"tail"), ...]."""
-        ends = [(s, _KIND[direction]) for s, direction in self.vertices.pop(vid)]
-        for end in ends:
-            del self._ends[end]
-        return ends
-
-    def cut_crossing(self, idx):
-        """Remove a crossing, returning its four now-dangling ends keyed by
-        slot name: {"over_in": (seg, "head"), ...}, plus its "sign"."""
-        c = self.crossings.pop(idx)
-        out = {"sign": c["sign"]}
-        for name in _CROSSING_SLOTS:
-            end = (c[name], _KIND[name])
-            del self._ends[end]
-            out[name] = end
-        return out
-
-    # -- attachment lookup and the slot writer ------------------------------
-
     def find_end(self, seg, kind):
-        """Locate the attachment of a segment end, or None if dangling.
+        """Locate the attachment of a segment end, or None if unattached.
 
         Returns ("v", vid, slot index) or ("c", cid, slot name).
         """
@@ -445,110 +409,6 @@ class Wiring:
         if attach is not None:
             self._set(attach, new_seg, self._held(attach)[1])
 
-    # -- strand walking ----------------------------------------------------
-
-    def _strand(self, seg):
-        """Walk the maximal strand through `seg` both ways through crossing
-        continuations (over_in<->over_out, under_in<->under_out), stopping
-        at vertices and dangling ends.
-
-        Returns (segment set, set of traversed crossing levels (cid,
-        "over"|"under"), list of (slot, seg, kind) for the strand's ends held
-        at vertices).  Interior attachments are all crossing slots, so a
-        strand meets vertices only at its ends.
-        """
-        segs, levels, stops = {seg}, set(), []
-        for kind, onward in (("head", "_out"), ("tail", "_in")):
-            cur = seg
-            while True:
-                at = self._ends.get((cur, kind))
-                if at is None:
-                    break
-                if at[0] == "v":
-                    stops.append((at, cur, kind))
-                    break
-                level = at[2].partition("_")[0]
-                levels.add((at[1], level))
-                cur = self.crossings[at[1]][level + onward]
-                if cur in segs:
-                    return segs, levels, stops  # closed strand
-                segs.add(cur)
-        return segs, levels, stops
-
-    def strand_segments(self, seg):
-        """All segments on the maximal strand through `seg` (through crossing
-        continuations; stops at vertices and dangling ends)."""
-        return self._strand(seg)[0]
-
-    def reverse_strand(self, seg):
-        """Reverse the orientation of the maximal strand through `seg`.
-
-        Vertex direction flags at the strand's ends flip, traversed crossings
-        swap their in/out slots on the traversed level, and each traversed
-        level flips the crossing sign once (a strand crossing itself flips
-        the sign twice, leaving it unchanged -- as it should).
-
-        Returns the set of reversed segment ids.
-        """
-        segs, levels, stops = self._strand(seg)
-        for at, s, kind in stops:
-            self._set(at, s, _FLIP[kind])
-        for cid, level in levels:
-            c = self.crossings[cid]
-            s_in, s_out = c[level + "_in"], c[level + "_out"]
-            self._set(("c", cid, level + "_in"), s_out, "head")
-            self._set(("c", cid, level + "_out"), s_in, "tail")
-            c["sign"] = -c["sign"]
-        return segs
-
-    def dangling_segments(self):
-        ends = self._ends
-        return {s for s in self.segments
-                if (s, "head") not in ends or (s, "tail") not in ends}
-
-    # -- joining dangling ends ---------------------------------------------
-
-    def join(self, end1, end2, carry=()):
-        """Join two dangling ends into a continuous strand.
-
-        Ends of the same kind first get one strand reversed.  Returns a
-        replacement map {old segment id: new id or None}, None meaning the
-        segment closed into a free loop; callers holding pending end
-        references must apply it (and flip kinds for reversed segments).
-        """
-        s1, k1 = end1
-        s2, k2 = end2
-        if s1 == s2:
-            # the segment's two ends meet: a free loop
-            self.free_loops += 1
-            self.loop_carried.append(self.carried.pop(s1, set()) | set(carry))
-            self.segments.discard(s1)
-            return {s1: None}
-        if k1 == k2:
-            flipped = self.reverse_strand(s2)
-            k2 = _FLIP[k2]
-            if s1 in flipped:  # cannot happen for a consistently oriented strand
-                raise AssertionError("reversal touched both ends")
-        if k1 == "tail":
-            (s1, k1), (s2, k2) = (s2, k2), (s1, k1)
-        # now s1 dangles at its head, s2 at its tail: s1 flows into s2
-        n = self.new_segment()
-        self._replace_end(self.find_end(s1, "tail"), n)
-        self._replace_end(self.find_end(s2, "head"), n)
-        self.carried[n] = (self.carried.pop(s1, set())
-                           | self.carried.pop(s2, set()) | set(carry))
-        self.segments.discard(s1)
-        self.segments.discard(s2)
-        return {s1: n, s2: n}
-
-    def splice_out_level(self, cid, level):
-        """Remove a crossing, reconnecting its `level` strand through and
-        leaving the other strand's ends dangling."""
-        ends = self.cut_crossing(cid)
-        self.join(ends[level + "_in"], ends[level + "_out"])
-
-    # -- extraction --------------------------------------------------------
-
     def to_diagram(self) -> Diagram:
         vertices = tuple(VertexNode(vid, tuple(slots))
                          for vid, slots in sorted(self.vertices.items()))
@@ -556,6 +416,130 @@ class Wiring:
                                    c["under_in"], c["under_out"], c["sign"])
                           for _, c in sorted(self.crossings.items()))
         return Diagram(vertices, crossings, self.free_loops)
+
+
+# ---------------------------------------------------------------------------
+# Cutting and rejoining
+# ---------------------------------------------------------------------------
+
+def rejoin(d: Diagram, pairs):
+    """Cut out every vertex and crossing a pair names and join the freed
+    ends pair by pair.
+
+    `pairs` is a sequence of slot pairs; a slot is ("v", vid, slot index)
+    or ("c", crossing index, slot name).  Segments form *strands* through
+    the kept crossing levels and the joins, and *pieces*, the segments of
+    the result, through the joins alone.  Joining two ends of one kind first
+    reverses the strand of the second end: its vertex directions flip, its
+    crossing levels swap in and out, and each reversed level flips the sign
+    of its crossing once.  A join closing a piece on itself makes a free
+    loop; every other join gives the joined piece a fresh segment id.  Then
+    each strand still holding an unjoined freed end is dropped, and a
+    crossing with one dropped level is spliced out, its other level passing
+    through.
+
+    Returns (diagram, components): per strand of the result, in order of its
+    least segment id, then per free loop (the original loops first, then
+    the new ones as they closed), the frozenset of the ids of the vertices
+    whose slots were joined into it.
+    """
+    incident = {v.id: v.incident for v in d.vertices}
+
+    def end(at):
+        tag, owner, slot = at
+        if tag == "v":
+            s, direction = incident[owner][slot]
+            return s, _KIND[direction]
+        return getattr(d.crossings[owner], slot), _KIND[slot]
+
+    cut = {(tag, owner) for pair in pairs for tag, owner, _ in pair}
+    segs = d.segment_ids()
+    strands, pieces = UnionFind(segs), UnionFind(segs)
+    members = {s: [s] for s in segs}    # strand root -> its segments
+
+    def link(a, b):
+        a, b = strands.find(a), strands.find(b)
+        if a != b:
+            strands.union(a, b)
+            members[b] += members.pop(a)
+
+    for i, c in enumerate(d.crossings):
+        if ("c", i) not in cut:
+            link(c.over_in, c.over_out)
+            link(c.under_in, c.under_out)
+    flipped = set()    # segments running against their input orientation
+    label = {}         # joined piece root -> its fresh segment id
+    tags = {}          # piece root -> vertex ids joined into it
+    loops = [frozenset()] * d.free_loops
+    dropped = set()    # strand roots left out of the result
+    fresh = count(max(segs, default=-1) + 1)
+
+    def join(end1, end2, carry):
+        (s1, k1), (s2, k2) = end1, end2
+        p1, p2 = pieces.find(s1), pieces.find(s2)
+        carried = tags.pop(p1, frozenset()) | tags.pop(p2, frozenset()) | carry
+        if p1 == p2:
+            loops.append(carried)
+            dropped.add(strands.find(s1))
+            return
+        if (k1 == k2) == ((s1 in flipped) == (s2 in flipped)):
+            root = strands.find(s2)
+            if strands.find(s1) == root:
+                raise AssertionError("reversal touched both ends")
+            flipped.symmetric_difference_update(members[root])
+        link(s1, s2)
+        pieces.union(p1, p2)
+        label[p2] = next(fresh)
+        tags[p2] = carried
+
+    for at1, at2 in pairs:
+        join(end(at1), end(at2), frozenset(
+            owner for tag, owner, _ in (at1, at2) if tag == "v"))
+    joined = {at for pair in pairs for at in pair}
+    for tag, owner in cut:
+        slots = range(len(incident[owner])) if tag == "v" else _CROSSING_SLOTS
+        dropped.update(strands.find(end((tag, owner, slot))[0])
+                       for slot in slots if (tag, owner, slot) not in joined)
+
+    kept = []
+    for i, c in enumerate(d.crossings):
+        if ("c", i) in cut:
+            continue
+        over_dead = strands.find(c.over_in) in dropped
+        under_dead = strands.find(c.under_in) in dropped
+        if over_dead != under_dead:
+            level = "under" if over_dead else "over"
+            join((getattr(c, level + "_in"), "head"),
+                 (getattr(c, level + "_out"), "tail"), frozenset())
+        elif not over_dead:
+            kept.append(c)
+
+    piece = {s: pieces.find(s) for s in segs}
+    seg = {s: label.get(root, root) for s, root in piece.items()}
+    crossings = []
+    for c in kept:
+        slots, sign = {}, c.sign
+        for level in ("over", "under"):
+            s_in, s_out = getattr(c, level + "_in"), getattr(c, level + "_out")
+            if s_in in flipped:
+                s_in, s_out, sign = s_out, s_in, -sign
+            slots[level + "_in"], slots[level + "_out"] = seg[s_in], seg[s_out]
+        crossings.append(Crossing(sign=sign, **slots))
+    vertices = tuple(
+        VertexNode(v.id, tuple(
+            (seg[s], direction if s not in flipped else
+             "out" if direction == "in" else "in")
+            for s, direction in v.incident))
+        for v in sorted(d.vertices, key=lambda v: v.id)
+        if ("v", v.id) not in cut)
+
+    components = {}    # strand root -> tags, by least segment id
+    for s in sorted(segs, key=seg.get):
+        root = strands.find(s)
+        if root not in dropped:
+            components.setdefault(root, set()).update(tags.get(piece[s], ()))
+    return (Diagram(vertices, tuple(crossings), len(loops)),
+            tuple(map(frozenset, components.values())) + tuple(loops))
 
 
 # ---------------------------------------------------------------------------
@@ -589,40 +573,14 @@ def resolve_crossing(d: Diagram, idx: int, mode: str) -> Diagram:
         raise IndexError(f"crossing index {idx} out of range")
     if mode not in ("A", "B", "V"):
         raise ValueError(f"unknown resolution mode {mode!r}")
+    c = d.crossings[idx]
     if mode == "V":
-        # no end lookups needed: build the result straight from the tuples,
-        # vertices in id order as Wiring.to_diagram would have them
-        c = d.crossings[idx]
+        # vertices in id order, as rejoin leaves them
         incident = tuple((getattr(c, name), name.partition("_")[2])
                          for name in c.ccw_slots())  # "over_in" -> "in"
         vid = max((v.id for v in d.vertices), default=-1) + 1
         vertices = tuple(sorted(d.vertices, key=lambda v: v.id))
         return Diagram(vertices + (VertexNode(vid, incident),),
                        d.crossings[:idx] + d.crossings[idx + 1:], d.free_loops)
-
-    w = Wiring(d)
-    ends = w.cut_crossing(idx)
-    first, second = smoothing_pairs(ends["sign"], mode)
-    rep = w.join(ends[first[0]], ends[first[1]])
-    a = _remap_end(w, ends[second[0]], rep)
-    b = _remap_end(w, ends[second[1]], rep)
-    if a[0] is not None and b[0] is not None:
-        w.join(a, b)
-    elif a[0] is not None or b[0] is not None:
-        raise AssertionError("half-consumed smoothing pair")
-    return w.to_diagram()
-
-
-def _remap_end(w: Wiring, end, rep):
-    """Apply a join's replacement map to a pending end reference, fixing the
-    head/tail kind against the current wiring (a prior reversal may have
-    flipped it)."""
-    s, k = end
-    if s in rep:
-        s = rep[s]
-        if s is None:
-            return (None, k)
-    if w.find_end(s, k) is not None:
-        k = _FLIP[k]
-        assert w.find_end(s, k) is None, "end is not dangling"
-    return (s, k)
+    return rejoin(d, [(("c", idx, a), ("c", idx, b))
+                      for a, b in smoothing_pairs(c.sign, mode)])[0]

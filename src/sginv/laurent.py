@@ -313,16 +313,18 @@ def _poly_gcd(p, q):
     return _poly_scale(pp, cont)
 
 
-def _to_dense(p):
-    """Shift a LaurentPoly to an ordinary polynomial; returns (dense, shift)
-    with p = x^shift * dense.  Zero maps to ([], 0)."""
+def _to_dense(p, k=None):
+    """Dense coefficients of x^k * p, which must have no negative exponent;
+    k defaults to -min_degree, putting the lowest term at index 0.  Zero
+    maps to []."""
     if p.is_zero():
-        return [], 0
-    m = p.min_degree
-    out = [0] * (p.max_degree - m + 1)
+        return []
+    if k is None:
+        k = -p.min_degree
+    out = [0] * (p.max_degree + k + 1)
     for e, c in p._c.items():
-        out[e - m] = c
-    return out, m
+        out[e + k] = c
+    return out
 
 def _from_dense(dense, shift, var):
     return LaurentPoly({i + shift: c for i, c in enumerate(dense) if c}, var)
@@ -344,9 +346,7 @@ def laurent_gcd(p, q):
         return q.normalize_units()
     if q.is_zero():
         return p.normalize_units()
-    dp, _ = _to_dense(p)
-    dq, _ = _to_dense(q)
-    g = _poly_gcd(dp, dq)
+    g = _poly_gcd(_to_dense(p), _to_dense(q))
     return _from_dense(g, 0, p.var).normalize_units()
 
 
@@ -378,10 +378,8 @@ def divides(p, q):
         return q.is_zero()
     if q.is_zero():
         return True
-    dp, _ = _to_dense(p)
-    dq, _ = _to_dense(q)
     try:
-        _poly_div_exact(dq, dp)
+        _poly_div_exact(_to_dense(q), _to_dense(p))
         return True
     except ArithmeticError:
         return False
@@ -411,7 +409,7 @@ def bareiss_det(matrix):
             return LaurentPoly.zero(var)
         k = min(min(mins), 0)
         shift_total += k
-        m.append([_dense_shifted(e, -k) for e in row])
+        m.append([_to_dense(e, -k) for e in row])
 
     sign = 1
     prev = [1]
@@ -433,16 +431,6 @@ def bareiss_det(matrix):
     if sign < 0:
         det = _poly_scale(det, -1)
     return _from_dense(det, shift_total, var)
-
-
-def _dense_shifted(p, k):
-    """Dense coefficients of x^k * p, which must have min_degree + k >= 0."""
-    if p.is_zero():
-        return []
-    out = [0] * (p.max_degree + k + 1)
-    for e, c in p._c.items():
-        out[e + k] = c
-    return _trim(out)
 
 
 def cofactor_det(matrix):

@@ -3,6 +3,7 @@ the crossing cap / environment-variable interplay."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -16,12 +17,17 @@ from helpers import fixture_path
 CLI = [sys.executable, "-m", "sginv.cli"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, **kwargs):
     env = dict(os.environ)
     env.pop("SGINV_MAX_CROSSINGS", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, env=env)
+    return subprocess.run(CLI + list(args), capture_output=True, env=env,
+                          **kwargs)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
 
 def test_validate_exit_codes():
@@ -147,6 +153,20 @@ def test_alexander_weight_handling():
                    "--weight", "oops").returncode == 2
 
 
+def test_dense_refusal():
+    """A weight that would make the dense polynomials gigabytes long is
+    refused with the estimate; the determinant, evaluated at t = -1, is
+    computed.  The address-space limit keeps a regression off the host's
+    memory."""
+    args = (fixture_path("figure_eight.json"), "--weight", "e1=1000000000")
+    r = run_cli("alexander", *args, preexec_fn=_limit_memory)
+    assert r.returncode == 1
+    assert r.stderr.count(b"\n") == 1
+    assert b"about 3000000000 dense coefficients" in r.stderr
+    r = run_cli("determinant", *args, preexec_fn=_limit_memory)
+    assert r.returncode == 0 and r.stdout == b"1\n"
+
+
 def test_determinant():
     r = run_cli("determinant", fixture_path("figure_eight.json"), "--json")
     assert json.loads(r.stdout) == {"determinant": 5}
@@ -198,6 +218,18 @@ def test_cg_output():
     assert run_cli("cg", fixture_path("theta_trivial.json")).stdout == b"0\n"
     r = run_cli("cg", fixture_path("k7.json"), "--json")
     assert json.loads(r.stdout) == {"conway_gordon": 1}
+
+
+def test_cg_long_cycle(tmp_path):
+    """The Hamiltonian search and the extraction are iterative: a directed
+    1,200-cycle, an unknot, gives Arf sum 0 below the recursion limit."""
+    n = 1200
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"vertices": [
+        {"id": i, "incident": [[f"s{(i - 1) % n}", "in"], [f"s{i}", "out"]]}
+        for i in range(n)]}))
+    r = run_cli("cg", str(path))
+    assert r.returncode == 0 and r.stdout == b"0\n"
 
 
 def test_byte_determinism():

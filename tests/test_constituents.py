@@ -1,16 +1,21 @@
 """Constituent links T(G): enumeration counts, fingerprints, Hamiltonian
 cycles, and the Conway-Gordon mod-2 Arf sum."""
 
+import random
+from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
 
 from sginv import catalog
-from sginv.constituents import (arf_from_determinant, constituent_fingerprint,
-                                conway_gordon_sum, enumerate_constituents,
+from sginv.constituents import (_choice_space, _extract, arf_from_determinant,
+                                constituent_fingerprint, conway_gordon_sum,
+                                enumerate_constituents,
                                 hamiltonian_constituents)
-from sginv.diagram import DiagramError, validate
-from sginv.moves import disjoint_union
+from sginv.diagram import (Crossing, Diagram, DiagramError, derive_edges,
+                           validate)
+from sginv.moves import R2_VARIANTS, apply_r2, disjoint_union
 from sginv.yamada import sigma
 
 
@@ -31,7 +36,7 @@ def test_theta_multiset():
 
 def test_choice_count_is_product_of_binomials():
     for d in (catalog.theta_trivial(), catalog.theta_5_3(),
-              catalog.theta_5_4()):
+              catalog.theta_5_4(), catalog.complete_graph_moment_curve(4)):
         expected = 1
         for v in d.vertices:
             expected *= comb(len(v.incident), 2)
@@ -48,6 +53,91 @@ def test_theta_table_determinant_fingerprints():
         [1, 1, 5]
     assert constituent_fingerprint(catalog.theta_5_4(), "determinant") == \
         [1, 3, 5]
+
+
+def test_theta_table_yamada_fingerprints():
+    # chirality-sensitive: a wrong sign flip in extraction changes them
+    assert constituent_fingerprint(catalog.theta_5_3(), "yamada") == [
+        "A^-1 + 1 + A", "A^-3 + A^-2 + A^-1",
+        "A^-7 + A^-6 + A^-5 + A^-4 + A^-3 - A^4 - A^5 - A^6 + A^10"]
+    assert constituent_fingerprint(catalog.theta_5_4(), "yamada") == [
+        "A^-1 + 1 + A",
+        "A^-5 + A^-4 + A^-3 + A^-2 + A^-1 - A^2 - A^3 - A^4 + A^6",
+        "A^-7 + A^-6 + A^-5 + A^-4 + A^-3 - A^4 - A^5 - A^6 + A^10"]
+
+
+def test_extraction_reverses_the_second_strand():
+    # slots 1 and 2 of vertex 100 are both tails: the strand of slot 2 turns
+    link = _extract(catalog.theta_5_3(), ((100, (1, 2)), (101, (0, 2))))
+    assert link.diagram == Diagram((), (Crossing(over_in=20, over_out=16,
+                                                 under_in=16, under_out=20,
+                                                 sign=-1),), 0)
+
+
+def _cycle_components(d, choice):
+    """Oracle for the components of a vertex choice, on the underlying
+    multigraph: keep each edge whose vertex ends are all chosen slots; a
+    component of the kept graph whose vertices all keep both chosen slots is
+    a cycle.  Vertex-free closed classes and free loops add empty sets."""
+    edges = derive_edges(d)
+    chosen = {(vid, slot) for vid, pair in choice for slot in pair}
+    ends = {}
+    for v in d.vertices:
+        for slot, (seg, _) in enumerate(v.incident):
+            ends.setdefault(edges.index_of(seg), []).append((v.id, slot))
+    adjacent = {}
+    for (u, i), (w, j) in ends.values():
+        if (u, i) in chosen and (w, j) in chosen:
+            adjacent.setdefault(u, []).append(w)
+            adjacent.setdefault(w, []).append(u)
+    components, seen = [], set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        comp, todo = set(), [start]
+        while todo:
+            x = todo.pop()
+            if x not in comp:
+                comp.add(x)
+                todo.extend(adjacent[x])
+        seen |= comp
+        if all(len(adjacent[x]) == 2 for x in comp):
+            components.append(frozenset(comp))
+    empty = sum(edges.is_closed) + d.free_loops
+    return components + [frozenset()] * empty
+
+
+def _inflated_k4():
+    rng = random.Random(4)
+    d = catalog.complete_graph_moment_curve(4)
+    for _ in range(3):
+        a, b = rng.sample(sorted(d.segment_ids()), 2)
+        d = apply_r2(d, a, b, rng.choice(R2_VARIANTS))
+    return d
+
+
+@pytest.mark.parametrize("name, d, samples", [
+    ("k4", catalog.complete_graph_moment_curve(4), None),
+    ("theta_5_3", catalog.theta_5_3(), None),
+    ("theta_5_4", catalog.theta_5_4(), None),
+    ("k5", catalog.complete_graph_moment_curve(5), 300),
+    ("k4+3R2", _inflated_k4(), 300),
+])
+def test_extraction_matches_cycle_oracle(name, d, samples):
+    vids, slot_pairs = _choice_space(d)
+    if samples is None:
+        choices = product(*slot_pairs)
+    else:
+        rng = random.Random(name)
+        choices = ([rng.choice(pairs) for pairs in slot_pairs]
+                   for _ in range(samples))
+    for combo in choices:
+        choice = tuple(zip(vids, combo))
+        link = _extract(d, choice)
+        expected = _cycle_components(d, choice)
+        assert validate(link.diagram) == [], choice
+        assert link.components == len(expected), choice
+        assert Counter(link.component_vertices) == Counter(expected), choice
 
 
 def test_fingerprint_rejects_unknown_invariant():
