@@ -1,27 +1,26 @@
 """Alexander-type invariants of balanced oriented spatial graph diagrams.
 
 Each edge carries an integer weight; the weighting is balanced when the
-signed weight sum at every vertex vanishes (sign +1 for an edge directed in,
--1 for out).  The Alexander matrix collects one linear relation per crossing,
-    (1 - t^w2) b + t^w1 c - a = 0,
-and one per vertex,
+signed weight sum eps_1 w_1 + eps_2 w_2 + ... at every vertex vanishes.  The
+Alexander matrix has one row per relation of `diagram.wirtinger_relations`,
+in its arcs and signs: per crossing (a, b, c), with w_o the weight of the
+over arc b and w_u that of the under strand,
+    (1 - t^w_u) b + t^w_o c - a = 0,
+and per vertex ((a_1, eps_1), (a_2, eps_2), ...),
     sum_i eps_i t^(m_i) a_i = 0,
-    m_i = eps_1 w_1 + ... + eps_(i-1) w_(i-1) + min(eps_i, 0) w_i,
-over the arcs of the diagram.  A free loop counts as one more arc with a
-trivial relation (a zero row and a zero column), as the kink diagram it is
-isotopic to has.  The Alexander polynomial is the gcd of the (r-1) x (r-1)
-minors, r the number of relations; the graph determinant is the integer
-analogue at t = -1.
+    m_i = eps_1 w_1 + ... + eps_(i-1) w_(i-1) + min(eps_i, 0) w_i.
+A free loop counts as one more arc with a trivial relation (a zero row and a
+zero column), as the kink diagram it is isotopic to has.  The Alexander
+polynomial is the gcd of the (r-1) x (r-1) minors, r the number of
+relations; the graph determinant is the integer analogue at t = -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd as int_gcd
 
-from .diagram import (Diagram, DiagramError, Partition, derive_arcs,
-                      derive_edges, require_valid, seg_to_edge_id)
+from .diagram import (Diagram, DiagramError, Partition, derive_edges,
+                      require_valid, seg_to_edge_id, wirtinger_relations)
 from .laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
 
 VAR = "t"
@@ -40,27 +39,24 @@ def uniform_weights(d: Diagram, w: int = 1):
     return {eid: w for eid in set(seg_to_edge_id(derive_edges(d)).values())}
 
 
-def _weight_by_segment(d: Diagram, weights):
-    by_edge = seg_to_edge_id(derive_edges(d))
-    out = {}
-    for seg, eid in by_edge.items():
+def _weighted_relations(d: Diagram, weights):
+    """The relation table of a valid diagram, each arc's weight (that of
+    the edge containing it) and the residual sum eps_i w_i at each vertex."""
+    require_valid(d)
+    relations = arcs, _, vertex_rows = wirtinger_relations(d)
+    edge_of = seg_to_edge_id(derive_edges(d))
+    for eid in edge_of.values():
         if eid not in weights:
             raise WeightError(f"missing weight for edge {eid}")
-        out[seg] = weights[eid]
-    return out
+    arc_w = [weights[edge_of[cls[0]]] for cls in arcs.classes]
+    residuals = {v.id: sum(eps * arc_w[arc] for arc, eps in row)
+                 for v, row in zip(d.vertices, vertex_rows)}
+    return relations, arc_w, residuals
 
 
 def check_balanced(d: Diagram, weights):
     """(balanced?, per-vertex residuals).  Residual at v is sum eps_i w_i."""
-    require_valid(d)
-    wseg = _weight_by_segment(d, weights)
-    residuals = {}
-    for v in d.vertices:
-        r = 0
-        for seg, direction in v.incident:
-            eps = 1 if direction == "in" else -1
-            r += eps * wseg[seg]
-        residuals[v.id] = r
+    residuals = _weighted_relations(d, weights)[2]
     return all(r == 0 for r in residuals.values()), residuals
 
 
@@ -79,49 +75,30 @@ class AlexanderMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def crossing_arc_roles(d: Diagram, idx: int, arcs: Partition):
-    """Arc indices (a, b, c) at a crossing: b is the over arc; at sign +1
-    a contains under_in and c under_out, at sign -1 the two swap."""
-    c = d.crossings[idx]
-    b = arcs.index_of(c.over_in)
-    if c.sign == 1:
-        a, cc = arcs.index_of(c.under_in), arcs.index_of(c.under_out)
-    else:
-        a, cc = arcs.index_of(c.under_out), arcs.index_of(c.under_in)
-    return a, b, cc
-
-
 def build_alexander_matrix(d: Diagram, weights) -> AlexanderMatrix:
-    require_valid(d)
-    balanced, residuals = check_balanced(d, weights)
-    if not balanced:
+    (arcs, crossing_rows, vertex_rows), arc_w, residuals = \
+        _weighted_relations(d, weights)
+    if any(residuals.values()):
         raise WeightError(f"unbalanced weighting, residuals {residuals}")
-    wseg = _weight_by_segment(d, weights)
-    arcs = derive_arcs(d)
     ncols = len(arcs) + d.free_loops
 
     rows = []
     labels = []
-    for i, c in enumerate(d.crossings):
+    for i, (a, b, c, _) in enumerate(crossing_rows):
         coeffs = [LaurentPoly.zero(VAR) for _ in range(ncols)]
-        a, b, cc = crossing_arc_roles(d, i, arcs)
-        w1 = wseg[c.over_in]
-        w2 = wseg[c.under_in]
         coeffs[a] = coeffs[a] - 1
         coeffs[b] = coeffs[b] + (LaurentPoly.constant(1, VAR)
-                                 - LaurentPoly.monomial(1, w2, VAR))
-        coeffs[cc] = coeffs[cc] + LaurentPoly.monomial(1, w1, VAR)
+                                 - LaurentPoly.monomial(1, arc_w[a], VAR))
+        coeffs[c] = coeffs[c] + LaurentPoly.monomial(1, arc_w[b], VAR)
         rows.append(tuple(coeffs))
         labels.append(f"crossing {i}")
-    for v in d.vertices:
+    for v, row in zip(d.vertices, vertex_rows):
         coeffs = [LaurentPoly.zero(VAR) for _ in range(ncols)]
         prefix = 0
-        for seg, direction in v.incident:
-            eps = 1 if direction == "in" else -1
-            w = wseg[seg]
-            m = prefix + min(eps, 0) * w
-            arc = arcs.index_of(seg)
-            coeffs[arc] = coeffs[arc] + LaurentPoly.monomial(eps, m, VAR)
+        for arc, eps in row:
+            w = arc_w[arc]
+            coeffs[arc] = coeffs[arc] + LaurentPoly.monomial(
+                eps, prefix + min(eps, 0) * w, VAR)
             prefix += eps * w
         rows.append(tuple(coeffs))
         labels.append(f"vertex v{v.id}")
@@ -167,7 +144,11 @@ def alexander_polynomial(d: Diagram, weights) -> LaurentPoly:
 
 
 def _int_det(m):
-    """Bareiss determinant of an integer matrix (exact)."""
+    """Bareiss determinant of an integer matrix (exact).
+
+    On no CLI path: kept as the exhaustive integer oracle of
+    tests/test_minors.py, and because perfbench/tracer.py looks it up by
+    name."""
     n = len(m)
     if n == 0:
         return 1
@@ -190,20 +171,13 @@ def _int_det(m):
 
 
 def graph_determinant(d: Diagram, weights) -> int:
-    """GCD of the absolute (r-1)-minors of the matrix at t = -1."""
+    """GCD of the absolute (r-1)-minors of the matrix at t = -1: integer
+    unit pivots first, then the core's minors through minors_gcd."""
     rows, k = _relation_minors(d, weights)
     core, k = reduce_unit_pivots([[e.subs_int(-1) for e in row]
                                   for row in rows], k)
-    if k == 0:
-        return 1
-    g = 0
-    for rset in combinations(range(len(core)), k):
-        for cset in combinations(range(len(core[0])), k):
-            sub = [[core[i][j] for j in cset] for i in rset]
-            g = int_gcd(g, abs(_int_det(sub)))
-            if g == 1:
-                return 1
-    return g
+    return minors_gcd([[LaurentPoly.constant(e, VAR) for e in row]
+                       for row in core], k).coeff(0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +219,11 @@ def wirtinger_presentation(d: Diagram) -> Presentation:
     crossing sign) and the signed cyclic product per vertex.  Each free loop
     adds one generator with the trivial relator, as a kink would."""
     require_valid(d)
-    arcs = derive_arcs(d)
+    arcs, crossing_rows, vertex_rows = wirtinger_relations(d)
     gens = tuple(f"a{i + 1}" for i in range(len(arcs) + d.free_loops))
-    relators = []
-    for i, c in enumerate(d.crossings):
-        a, b, cc = crossing_arc_roles(d, i, arcs)
-        s = c.sign
-        relators.append(_reduce_word([(gens[b], -s), (gens[a], 1),
-                                      (gens[b], s), (gens[cc], -1)]))
-    for v in d.vertices:
-        letters = []
-        for seg, direction in v.incident:
-            eps = 1 if direction == "in" else -1
-            letters.append((gens[arcs.index_of(seg)], eps))
-        relators.append(_reduce_word(letters))
+    relators = [_reduce_word([(gens[b], -s), (gens[a], 1), (gens[b], s),
+                              (gens[c], -1)])
+                for a, b, c, s in crossing_rows]
+    relators += [_reduce_word([(gens[arc], eps) for arc, eps in row])
+                 for row in vertex_rows]
     return Presentation(gens, tuple(relators) + ((),) * d.free_loops)

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 from .alexander import alexander_polynomial, graph_determinant, uniform_weights
 from .diagram import Diagram, DiagramError, derive_edges, rejoin, require_valid
 from .yamada import yamada_raw
+
+# Refusal bound for enumerate_constituents: the number of vertex choices,
+# each one extracted link held in memory.
+MAX_CHOICES = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,15 @@ def _extract(d: Diagram, choice) -> ConstituentLink:
 
 def enumerate_constituents(d: Diagram):
     """One ConstituentLink per vertex choice (multiset semantics: empty links
-    are retained).  The count is the product over vertices of C(deg, 2)."""
+    are retained).  The count is the product over vertices of C(deg, 2);
+    above MAX_CHOICES the diagram is refused (DiagramError) before any
+    extraction."""
     require_valid(d)
     vids, slot_pairs = _choice_space(d)
+    choices = prod(map(len, slot_pairs))
+    if choices > MAX_CHOICES:
+        raise DiagramError(f"diagram has {choices} constituent choices, above "
+                           f"the limit of {MAX_CHOICES}")
     out = []
     for combo in product(*slot_pairs):
         choice = tuple(zip(vids, combo))

@@ -311,6 +311,27 @@ def derive_edges(d: Diagram) -> Partition:
     return _partition(d, merge_under=True)
 
 
+def wirtinger_relations(d: Diagram):
+    """The Wirtinger relation table: (arcs, crossing rows, vertex rows).
+
+    One (a, b, c, sign) per crossing, in stored order: the under strand
+    runs from arc a to arc c under the over arc b, so a holds under_in at
+    sign +1 and under_out at sign -1.  One ((arc, eps), ...) per vertex, in
+    stored order, its incidences in stored cyclic order with eps = +1 for
+    "in" and -1 for "out".  Free loops have no arcs here.
+    """
+    arcs = derive_arcs(d)
+    arc = arcs.class_of
+    crossings = tuple(
+        (arc[c.under_in], arc[c.over_in], arc[c.under_out], 1) if c.sign == 1
+        else (arc[c.under_out], arc[c.over_in], arc[c.under_in], -1)
+        for c in d.crossings)
+    vertices = tuple(tuple((arc[s], 1 if direction == "in" else -1)
+                           for s, direction in v.incident)
+                     for v in d.vertices)
+    return arcs, crossings, vertices
+
+
 def seg_to_edge_id(edges: Partition):
     return {s: f"e{i + 1}" for s, i in edges.class_of.items()}
 

@@ -372,19 +372,6 @@ def laurent_gcd_many(polys):
     return acc
 
 
-def divides(p, q):
-    """True if p divides q exactly in the Laurent ring (p nonzero)."""
-    if p.is_zero():
-        return q.is_zero()
-    if q.is_zero():
-        return True
-    try:
-        _poly_div_exact(_to_dense(q), _to_dense(p))
-        return True
-    except ArithmeticError:
-        return False
-
-
 def bareiss_det(matrix):
     """Exact determinant of a square matrix of LaurentPoly entries.
 
@@ -431,26 +418,6 @@ def bareiss_det(matrix):
     if sign < 0:
         det = _poly_scale(det, -1)
     return _from_dense(det, shift_total, var)
-
-
-def cofactor_det(matrix):
-    """Determinant by cofactor expansion; the independent cross-check for
-    bareiss_det in the test suite.  Exponential, keep inputs small."""
-    n = len(matrix)
-    var = matrix[0][0].var if n else "t"
-    if n == 0:
-        return LaurentPoly.constant(1, var)
-    if n == 1:
-        return matrix[0][0]
-    total = LaurentPoly.zero(var)
-    rest = matrix[1:]
-    for j in range(n):
-        if matrix[0][j].is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rest]
-        term = matrix[0][j] * cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def minors_gcd(matrix, k):

@@ -2,18 +2,18 @@
 
 A quandle is a set with operations x > y and x >^-1 y satisfying
 idempotence, right-invertibility and right self-distributivity.  Colorings
-assign quandle elements to the arcs of a diagram subject to the crossing
-relation a^b = c and, at each vertex, the requirement that the composite
-translation by the incident arc colors (with local signs) fixes the color
-of every arc of the diagram.
+assign quandle elements to the arcs of a diagram subject to the relations of
+`diagram.wirtinger_relations`: a >^s b = c at each crossing row
+(a, b, c, s), and at each vertex row the composite translation by its arc
+colors, with its signs eps, fixes the color of every arc of the diagram.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .diagram import Diagram, require_valid, derive_arcs
-from .alexander import crossing_arc_roles
+from .diagram import Diagram, require_valid, wirtinger_relations
 
 
 class QuandleError(ValueError):
@@ -107,96 +107,80 @@ def trivial_quandle(n: int) -> FiniteQuandle:
     return FiniteQuandle(n, op, op)
 
 
-def _vertex_translations(d: Diagram, arcs):
-    """Per vertex: the (arc index, local sign) list in stored cyclic order."""
-    out = []
-    for v in d.vertices:
-        out.append([(arcs.index_of(seg), 1 if direction == "in" else -1)
-                    for seg, direction in v.incident])
-    return out
-
-
 def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
     """Number of colorings of the arcs of d by X.
 
-    Backtracking with crossing-relation pruning; the vertex condition (the
-    composite translation at each vertex fixes every arc color, following
-    the every-generator quantifier of the vertex relation) is checked on
-    complete assignments.  A free loop is one more arc under no crossing
-    relation, as a kink would be: it takes any color that condition fixes.
+    Backtracking with crossing-relation pruning on an explicit stack of
+    color iterators, one per depth, so no input reaches the recursion
+    limit; the vertex condition (the composite translation at each vertex
+    fixes every arc color, following the every-generator quantifier of the
+    vertex relation) is checked on complete assignments.  A free loop is one
+    more arc under no crossing relation, as a kink would be: it takes any
+    color that condition fixes.
     """
     require_valid(d)
     bad = verify_quandle(X.op, X.inv)
     if bad:
         raise QuandleError(f"not a quandle: {bad[:3]}")
-    arcs = derive_arcs(d)
+    arcs, crossing_rows, vertex_rows = wirtinger_relations(d)
     n_arcs = len(arcs)
     loops = d.free_loops
     if n_arcs == 0:
         # only free loops, and no vertex condition on their colors
         return X.n ** loops
 
-    roles = [crossing_arc_roles(d, i, arcs) for i in range(len(d.crossings))]
-    signs = [c.sign for c in d.crossings]
-    vertex_tr = _vertex_translations(d, arcs)
-
     # order arcs so crossing relations fire early: breadth-first from the
     # lowest-index arc through crossing incidences
+    crossings_at = [[] for _ in range(n_arcs)]
+    for row in crossing_rows:
+        for arc in set(row[:3]):
+            crossings_at[arc].append(row)
     order = []
     placed = [False] * n_arcs
-    queue = []
     for start in range(n_arcs):
-        if placed[start]:
-            continue
-        queue.append(start)
+        queue = deque([start])
         while queue:
-            a = queue.pop(0)
+            a = queue.popleft()
             if placed[a]:
                 continue
             placed[a] = True
             order.append(a)
-            for (x, b, c), _ in zip(roles, signs):
-                if a in (x, b, c):
-                    queue.extend(y for y in (x, b, c) if not placed[y])
+            for row in crossings_at[a]:
+                queue.extend(y for y in row[:3] if not placed[y])
     pos = {a: i for i, a in enumerate(order)}
     checks_at = [[] for _ in range(n_arcs)]
-    for idx, (a, b, c) in enumerate(roles):
-        fire = max(pos[a], pos[b], pos[c])
-        checks_at[fire].append(idx)
+    for row in crossing_rows:
+        checks_at[max(pos[arc] for arc in row[:3])].append(row)
 
     def fixed(col):
         """True when every vertex translation fixes col."""
-        for tr in vertex_tr:
+        for row in vertex_rows:
             x = col
-            for (arc, eps) in tr:
+            for arc, eps in row:
                 x = X.apply(x, colors[arc], eps)
             if x != col:
                 return False
         return True
 
     colors = [None] * n_arcs
+    stack = [iter(range(X.n))]    # per open depth, the colors left to try
     total = 0
-
-    def search(depth):
-        nonlocal total
-        if depth == n_arcs:
-            if all(map(fixed, set(colors))):
-                total += sum(map(fixed, range(X.n))) ** loops if loops else 1
-            return
-        arc = order[depth]
-        for col in range(X.n):
+    while stack:
+        depth = len(stack) - 1
+        arc, checks = order[depth], checks_at[depth]
+        for col in stack[depth]:
             colors[arc] = col
-            ok = True
-            for idx in checks_at[depth]:
-                a, b, c = roles[idx]
-                if X.apply(colors[a], colors[b], signs[idx]) != colors[c]:
-                    ok = False
+            for a, b, c, s in checks:
+                if X.apply(colors[a], colors[b], s) != colors[c]:
                     break
-            if ok:
-                search(depth + 1)
-        colors[arc] = None
-
-    search(0)
+            else:
+                if depth + 1 < n_arcs:
+                    stack.append(iter(range(X.n)))
+                    break    # descend; this depth resumes from its iterator
+                if all(map(fixed, set(colors))):
+                    total += sum(map(fixed, range(X.n))) ** loops if loops else 1
+        else:
+            stack.pop()
     return total
 
 
@@ -216,16 +200,15 @@ def count_constant_colorings(d: Diagram, X: FiniteQuandle) -> int:
     """How many single-color assignments satisfy all relations (crossing
     relations hold by idempotence; only the vertex condition can fail)."""
     require_valid(d)
-    arcs = derive_arcs(d)
+    arcs, _, vertex_rows = wirtinger_relations(d)
     if len(arcs) == 0:
         return X.n if d.free_loops else 1
-    vertex_tr = _vertex_translations(d, arcs)
     count = 0
     for col in range(X.n):
         ok = True
-        for tr in vertex_tr:
+        for row in vertex_rows:
             x = col
-            for (_, eps) in tr:
+            for _, eps in row:
                 x = X.apply(x, col, eps)
             if x != col:
                 ok = False

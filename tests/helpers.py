@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: fixture paths, a small diagram corpus,
 diagram canonicalization and edge labels, balanced theta weights, the
-explicit 9x10 relation matrix, and random polynomial generation (seeded;
-every test run is deterministic).
+explicit 9x10 relation matrix, random polynomial generation (seeded; every
+test run is deterministic), and the Laurent divisibility and cofactor
+determinant oracles.
 """
 
 import os
@@ -10,7 +11,7 @@ import random
 from sginv import catalog
 from sginv.alexander import check_balanced
 from sginv.diagram import Diagram, Partition, parse_diagram, serialize
-from sginv.laurent import LaurentPoly
+from sginv.laurent import LaurentPoly, _poly_div_exact, _to_dense
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -101,3 +102,36 @@ def nine_by_ten_matrix():
         [z, z, z, z, z, z, z, it, t, -one],
         [-ti, z, z, z, -ti2, z, ti2, z, z, ti],
     ]
+
+
+def divides(p, q):
+    """True if p divides q exactly in the Laurent ring (p nonzero)."""
+    if p.is_zero():
+        return q.is_zero()
+    if q.is_zero():
+        return True
+    try:
+        _poly_div_exact(_to_dense(q), _to_dense(p))
+        return True
+    except ArithmeticError:
+        return False
+
+
+def cofactor_det(matrix):
+    """Determinant by cofactor expansion; the independent cross-check for
+    bareiss_det.  Exponential, keep inputs small."""
+    n = len(matrix)
+    var = matrix[0][0].var if n else "t"
+    if n == 0:
+        return LaurentPoly.constant(1, var)
+    if n == 1:
+        return matrix[0][0]
+    total = LaurentPoly.zero(var)
+    rest = matrix[1:]
+    for j in range(n):
+        if matrix[0][j].is_zero():
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in rest]
+        term = matrix[0][j] * cofactor_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total

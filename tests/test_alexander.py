@@ -82,6 +82,15 @@ def test_matrix_shape():
     assert list(m.row_labels) == ["vertex v0", "vertex v1"]
 
 
+def test_crossing_rows_take_under_and_over_weights():
+    """Hopf link with components weighted 1 and 2: at each crossing the over
+    arc gets 1 - t^(under weight) and the under arc -1 + t^(over weight)."""
+    hopf = catalog.braid_closure(2, [1, 1])
+    m = build_alexander_matrix(hopf, {"e1": 1, "e2": 2})
+    assert m.rows == ((L({0: 1, 2: -1}), L({0: -1, 1: 1})),
+                      (L({0: -1, 2: 1}), L({0: 1, 1: -1})))
+
+
 def rotate_vertex(d, vid, k):
     vertices = tuple(
         VertexNode(v.id, v.incident[k:] + v.incident[:k]) if v.id == vid

@@ -193,6 +193,30 @@ def test_pcolor():
                    "--p", "6").returncode == 2
 
 
+def test_colorings_long_closure(tmp_path):
+    """The coloring search runs as a loop, not one call per arc: the closure
+    of the 2-braid sigma_1^1200 has 1,200 arcs and det T(2, 1200) = 1200, so
+    p^2 dihedral-p colorings when p divides 1,200 and p otherwise."""
+    path = tmp_path / "t2_1200.json"
+    path.write_text(serialize(catalog.braid_closure(2, [1] * 1200)))
+    for p, count in (("3", b"9\n"), ("5", b"25\n"), ("7", b"7\n")):
+        r = run_cli("colorings", str(path), "--dihedral", p)
+        assert r.returncode == 0 and r.stdout == count, p
+    r = run_cli("pcolor", str(path), "--p", "3")
+    assert r.returncode == 0 and r.stdout == b"colorable\n"
+
+
+def test_constituents_choice_limit():
+    """K7 has 15^7 vertex choices, above the limit: refused at once with
+    the count, before any extraction."""
+    start = time.monotonic()
+    r = run_cli("constituents", fixture_path("k7.json"), "--invariant",
+                "determinant", timeout=10)
+    assert time.monotonic() - start < 1.0
+    assert r.returncode == 1 and r.stderr.count(b"\n") == 1
+    assert b"170859375" in r.stderr and b"100000" in r.stderr
+
+
 def test_constituents_document():
     r = run_cli("constituents", fixture_path("theta_trivial.json"),
                 "--invariant", "determinant")
@@ -212,6 +236,13 @@ def test_group_output():
     r = run_cli("group", fixture_path("trefoil.json"), "--json")
     doc = json.loads(r.stdout)
     assert len(doc["generators"]) == 3 and len(doc["relators"]) == 3
+    # crossing relators in crossing order, then one signed cyclic product
+    # per vertex
+    r = run_cli("group", fixture_path("theta_5_3.json"))
+    assert r.stdout == (
+        b"< a1, a2, a3, a4, a5, a6, a7, a8 | a1 a2 a1^-1 a6^-1, "
+        b"a2 a3 a2^-1 a7^-1, a3 a4 a3^-1 a2^-1, a4 a5 a4^-1 a3^-1, "
+        b"a5 a1 a5^-1 a4^-1, a5 a6^-1 a8^-1, a1 a7^-1 a8 >\n")
 
 
 def test_cg_output():

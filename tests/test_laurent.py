@@ -6,10 +6,9 @@ import random
 import pytest
 
 from sginv.laurent import (LaurentPoly, VariableMismatch, bareiss_det,
-                           cofactor_det, divides, laurent_gcd,
-                           laurent_gcd_many, minors_gcd)
+                           laurent_gcd, laurent_gcd_many, minors_gcd)
 
-from helpers import random_laurent, random_unit
+from helpers import cofactor_det, divides, random_laurent, random_unit
 
 
 def test_construction_drops_zero_coefficients():
