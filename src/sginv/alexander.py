@@ -41,14 +41,18 @@ def uniform_weights(d: Diagram, w: int = 1):
 
 def _weighted_relations(d: Diagram, weights):
     """The relation table of a valid diagram, each arc's weight (that of
-    the edge containing it) and the residual sum eps_i w_i at each vertex."""
+    the edge containing it; 1 on every edge when weights is None) and the
+    residual sum eps_i w_i at each vertex."""
     require_valid(d)
     relations = arcs, _, vertex_rows = wirtinger_relations(d)
-    edge_of = seg_to_edge_id(derive_edges(d))
-    for eid in edge_of.values():
-        if eid not in weights:
-            raise WeightError(f"missing weight for edge {eid}")
-    arc_w = [weights[edge_of[cls[0]]] for cls in arcs.classes]
+    if weights is None:
+        arc_w = [1] * len(arcs)
+    else:
+        edge_of = seg_to_edge_id(derive_edges(d))
+        for eid in edge_of.values():
+            if eid not in weights:
+                raise WeightError(f"missing weight for edge {eid}")
+        arc_w = [weights[edge_of[cls[0]]] for cls in arcs.classes]
     residuals = {v.id: sum(eps * arc_w[arc] for arc, eps in row)
                  for v, row in zip(d.vertices, vertex_rows)}
     return relations, arc_w, residuals
@@ -138,7 +142,7 @@ def _relation_minors(d: Diagram, weights):
 
 def alexander_polynomial(d: Diagram, weights) -> LaurentPoly:
     """GCD of the (r-1) x (r-1) minors, canonicalized so the lowest term is
-    a positive constant."""
+    a positive constant.  weights=None puts weight 1 on every edge."""
     g = gcd_of_minors(*_relation_minors(d, weights))
     return g if g.is_zero() else g.normalize_units()
 
@@ -172,7 +176,8 @@ def _int_det(m):
 
 def graph_determinant(d: Diagram, weights) -> int:
     """GCD of the absolute (r-1)-minors of the matrix at t = -1: integer
-    unit pivots first, then the core's minors through minors_gcd."""
+    unit pivots first, then the core's minors through minors_gcd.
+    weights=None puts weight 1 on every edge."""
     rows, k = _relation_minors(d, weights)
     core, k = reduce_unit_pivots([[e.subs_int(-1) for e in row]
                                   for row in rows], k)

@@ -15,8 +15,8 @@ import sys
 
 from .alexander import (WeightError, alexander_polynomial, graph_determinant,
                         wirtinger_presentation)
-from .constituents import (conway_gordon_sum, enumerate_constituents,
-                           _fingerprint_value)
+from .constituents import (constituent_families, conway_gordon_sum,
+                           vertex_choices)
 from .diagram import (DiagramError, derive_edges, parse_document,
                       seg_to_edge_id, validate)
 from .quandle import (FiniteQuandle, QuandleError, count_colorings,
@@ -180,22 +180,26 @@ def _cmd_pcolor(args):
 
 def _cmd_constituents(args):
     d, _ = _load(args)
-    members = enumerate_constituents(d)
-    if args.drop_empty:
-        members = [m for m in members if not m.is_empty]
-    entries = []
-    values = []
-    for m in members:
-        value = _fingerprint_value(m.diagram, args.invariant)
-        values.append(value)
-        entries.append({
-            "choice": [[vid, list(pair)] for vid, pair in m.choice],
-            "components": m.components,
-            "fingerprint": value,
-        })
-    doc = {"constituents": entries,
-           "multiset": sorted(values, key=lambda v: (str(v), repr(v)))}
-    print(_dump(doc))
+    # Every family is evaluated before the first byte goes out, so a
+    # refusal or a failed fingerprint leaves stdout empty.  The listing is
+    # then written entry by entry, as the bytes of one sorted-key dump of
+    # {"constituents": [...], "multiset": [...]}.
+    families = list(constituent_families(d, args.invariant))
+    out = sys.stdout
+    out.write('{"constituents":[')
+    sep = ""
+    for choice, (components, value) in zip(vertex_choices(d), families):
+        if components or not args.drop_empty:
+            out.write(sep + _dump({
+                "choice": [[vid, list(pair)] for vid, pair in choice],
+                "components": components,
+                "fingerprint": value,
+            }))
+            sep = ","
+    values = sorted((value for components, value in families
+                     if components or not args.drop_empty),
+                    key=lambda v: (str(v), repr(v)))
+    out.write('],"multiset":' + _dump(values) + "}\n")
     return 0
 
 

@@ -3,8 +3,13 @@
 At each vertex choose two incidence slots to connect and delete the rest;
 every choice leaves a (possibly empty) link.  The multiset of these links
 over all choices is an isotopy invariant, and familiar knot invariants
-applied memberwise give comparable fingerprints.  Hamiltonian-cycle members
-feed the Conway-Gordon mod-2 Arf sum.
+applied memberwise give comparable fingerprints.  A choice's link depends
+only on its cycle family, the edges on the cycles its chosen slots close
+(every choice also keeps the vertex-free components), so
+`constituent_families` extracts and fingerprints each family once: K5's
+7,776 choices close 38 families.  `enumerate_constituents` extracts every
+choice and is the per-choice reference.  Hamiltonian-cycle members feed the
+Conway-Gordon mod-2 Arf sum.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .alexander import alexander_polynomial, graph_determinant, uniform_weights
+from .alexander import alexander_polynomial, graph_determinant
 from .diagram import Diagram, DiagramError, derive_edges, rejoin, require_valid
 from .yamada import yamada_raw
 
-# Refusal bound for enumerate_constituents: the number of vertex choices,
-# each one extracted link held in memory.
+# Refusal bound for vertex_choices: the number of vertex choices, each one
+# entry of a constituent listing.
 MAX_CHOICES = 10 ** 5
 
 
@@ -45,6 +50,18 @@ def _choice_space(d: Diagram):
     return vids, slot_pairs
 
 
+def _edge_ends(d: Diagram):
+    """(ends, closed): per edge touching a vertex, its two (vertex id, slot)
+    ends; and the number of closed components without vertices, the
+    vertex-free edge classes plus the free loops."""
+    part = derive_edges(d)
+    ends = {}
+    for v in sorted(d.vertices, key=lambda v: v.id):
+        for slot, (seg, _) in enumerate(v.incident):
+            ends.setdefault(part.index_of(seg), []).append((v.id, slot))
+    return ends, sum(part.is_closed) + d.free_loops
+
+
 def _extract(d: Diagram, choice) -> ConstituentLink:
     """Apply a vertex choice: join the chosen pair through each vertex,
     delete open strands, splice surviving strands through lost crossings."""
@@ -54,22 +71,57 @@ def _extract(d: Diagram, choice) -> ConstituentLink:
     return ConstituentLink(link, tuple(choice), len(comps), comps)
 
 
-def enumerate_constituents(d: Diagram):
-    """One ConstituentLink per vertex choice (multiset semantics: empty links
-    are retained).  The count is the product over vertices of C(deg, 2);
-    above MAX_CHOICES the diagram is refused (DiagramError) before any
-    extraction."""
+def vertex_choices(d: Diagram):
+    """The vertex choices ((vertex id, (slot, slot)), ...), sorted by vertex,
+    in product order.  Their count is the product over vertices of
+    C(deg, 2); above MAX_CHOICES the diagram is refused (DiagramError)
+    before the first choice."""
     require_valid(d)
     vids, slot_pairs = _choice_space(d)
     choices = prod(map(len, slot_pairs))
     if choices > MAX_CHOICES:
         raise DiagramError(f"diagram has {choices} constituent choices, above "
                            f"the limit of {MAX_CHOICES}")
-    out = []
-    for combo in product(*slot_pairs):
-        choice = tuple(zip(vids, combo))
-        out.append(_extract(d, choice))
-    return out
+    return (tuple(zip(vids, combo)) for combo in product(*slot_pairs))
+
+
+def enumerate_constituents(d: Diagram):
+    """One ConstituentLink per vertex choice (multiset semantics: empty links
+    are retained), each choice extracted on its own: the per-choice
+    reference for `constituent_families`."""
+    return [_extract(d, choice) for choice in vertex_choices(d)]
+
+
+def _cycle_family(choice, mate):
+    """The edges on the closed cycles of a vertex choice.
+
+    `mate` maps each vertex slot to (its edge, the slot at the edge's other
+    end).  A walk leaves a chosen slot along its edge and goes on through
+    the other chosen slot at the far vertex: it comes back to its start
+    around a cycle, or reaches an unchosen slot on an open path, which
+    extraction deletes."""
+    pair_of = dict(choice)
+    family, seen = set(), set()
+    for vid, (i, _) in choice:
+        if vid in seen:
+            continue
+        start = at = (vid, i)
+        edges = []
+        while True:
+            edge, (w, slot) = mate[at]
+            j, k = pair_of[w]
+            if slot == j:
+                at = (w, k)
+            elif slot == k:
+                at = (w, j)
+            else:
+                break
+            seen.add(w)
+            edges.append(edge)
+            if at == start:
+                family.update(edges)
+                break
+    return frozenset(family)
 
 
 _INVARIANTS = ("yamada", "alexander", "determinant")
@@ -79,18 +131,40 @@ def _fingerprint_value(link: Diagram, inv: str):
     if inv == "yamada":
         return str(yamada_raw(link))
     if inv == "alexander":
-        return str(alexander_polynomial(link, uniform_weights(link)))
+        return str(alexander_polynomial(link, None))
     if inv == "determinant":
-        return graph_determinant(link, uniform_weights(link))
+        return graph_determinant(link, None)
     raise ValueError(f"invariant must be one of {_INVARIANTS}")
+
+
+def constituent_families(d: Diagram, inv: str):
+    """Per vertex choice of `vertex_choices`, in its order, the pair
+    (components, value): the number of closed components of the choice's
+    link and the link's `inv` fingerprint, weight 1 everywhere for the
+    Alexander-based invariants.
+
+    The first choice of each cycle family is extracted and fingerprinted;
+    every later choice of the family yields the same pair."""
+    choices = vertex_choices(d)
+    mate = {}
+    for edge, (a, b) in _edge_ends(d)[0].items():
+        mate[a], mate[b] = (edge, b), (edge, a)
+    memo = {}
+    for choice in choices:
+        key = _cycle_family(choice, mate)
+        family = memo.get(key)
+        if family is None:
+            link = _extract(d, choice)
+            family = memo[key] = (link.components,
+                                  _fingerprint_value(link.diagram, inv))
+        yield family
 
 
 def constituent_fingerprint(d: Diagram, inv: str):
     """Sorted multiset of the invariant values of the nonempty members of
     T(G); weight 1 everywhere for the Alexander-based invariants."""
-    values = [_fingerprint_value(link.diagram, inv)
-              for link in enumerate_constituents(d) if not link.is_empty]
-    return sorted(values)
+    return sorted(value for components, value in constituent_families(d, inv)
+                  if components)
 
 
 def hamiltonian_constituents(d: Diagram):
@@ -100,35 +174,29 @@ def hamiltonian_constituents(d: Diagram):
     Each Hamiltonian cycle corresponds to exactly one vertex choice (the
     cycle's own incidences), so cycles are enumerated directly on the
     underlying multigraph rather than by filtering the full choice product.
+    When the diagram has vertices, a closed component that touches none
+    makes every member a split link, so then there are none.
     """
     require_valid(d)
+    ends, closed = _edge_ends(d)
     if not d.vertices:
-        link = _extract(d, ())
-        return [link] if link.components == 1 else []
+        return [_extract(d, ())] if closed == 1 else []
+    if closed:
+        return []
 
-    part = derive_edges(d)
-    slot_of = {}    # (edge index, vertex id) -> list of slot indices
-    endpoints = {}  # edge index -> its two end vertex ids
     vids = sorted(v.id for v in d.vertices)
-    vslots = {v.id: v.incident for v in d.vertices}
-    for vid in vids:
-        for slot, (seg, _) in enumerate(vslots[vid]):
-            ei = part.index_of(seg)
-            endpoints.setdefault(ei, []).append(vid)
-            slot_of.setdefault((ei, vid), []).append(slot)
-
     incident = {vid: [] for vid in vids}
-    for ei, ends in endpoints.items():
-        for vid in set(ends):
-            incident[vid].append(ei)
+    for ei, ((u, _), (w, _)) in ends.items():
+        incident[u].append(ei)
+        if w != u:
+            incident[w].append(ei)
 
     cycles = set()
     n = len(vids)
     start = vids[0]
     if n == 1:
-        for ei, ends in endpoints.items():
-            if len(ends) == 2 and ends[0] == ends[1]:
-                cycles.add(frozenset([ei]))
+        for ei in incident[start]:
+            cycles.add(frozenset([ei]))
     else:
         stack = [(start, frozenset([start]), frozenset())]
         while stack:
@@ -136,7 +204,7 @@ def hamiltonian_constituents(d: Diagram):
             for ei in incident[vertex]:
                 if ei in used:
                     continue
-                u, v = endpoints[ei]
+                (u, _), (v, _) = ends[ei]
                 if u == v:
                     continue
                 nxt = v if u == vertex else u
@@ -147,14 +215,14 @@ def hamiltonian_constituents(d: Diagram):
 
     out = []
     for cycle in sorted(cycles, key=sorted):
-        choice = []
-        for vid in vids:
-            slots = []
-            for ei in cycle:
-                slots.extend(slot_of.get((ei, vid), []))
-            assert len(slots) == 2, "cycle does not use two slots at a vertex"
-            choice.append((vid, tuple(sorted(slots))))
-        link = _extract(d, tuple(choice))
+        slots = {}
+        for ei in cycle:
+            for vid, slot in ends[ei]:
+                slots.setdefault(vid, []).append(slot)
+        assert all(len(slots[vid]) == 2 for vid in vids), \
+            "cycle does not use two slots at a vertex"
+        link = _extract(d, tuple((vid, tuple(sorted(slots[vid])))
+                                 for vid in vids))
         assert link.components == 1
         assert link.component_vertices[0] == frozenset(vids)
         out.append(link)
@@ -170,9 +238,13 @@ def conway_gordon_sum(d: Diagram) -> int:
     """Sum of Arf invariants over Hamiltonian-cycle constituents, mod 2."""
     hams = hamiltonian_constituents(d)
     if not hams:
+        closed = _edge_ends(d)[1]
+        if closed:
+            raise DiagramError(f"diagram has closed components without "
+                               f"vertices ({closed}), so no constituent is "
+                               f"a single Hamiltonian cycle")
         raise DiagramError("underlying graph has no Hamiltonian cycle")
     total = 0
     for link in hams:
-        det = graph_determinant(link.diagram, uniform_weights(link.diagram))
-        total += arf_from_determinant(det)
+        total += arf_from_determinant(graph_determinant(link.diagram, None))
     return total % 2

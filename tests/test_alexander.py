@@ -40,6 +40,7 @@ def test_classical_knot_values():
     for name, d in knot_corpus().items():
         poly = alexander_polynomial(d, uniform_weights(d))
         assert str(poly) == expected[name], name
+        assert alexander_polynomial(d, None) == poly, name  # weight 1
 
 
 def test_unknot_and_empty():
@@ -52,6 +53,7 @@ def test_determinants():
                 "torus_2_5": 5, "knot_5_2": 7}
     for name, d in knot_corpus().items():
         assert graph_determinant(d, uniform_weights(d)) == expected[name]
+        assert graph_determinant(d, None) == expected[name]
 
 
 def test_theta_balance():
@@ -59,6 +61,7 @@ def test_theta_balance():
     ok, residuals = check_balanced(th, uniform_weights(th))
     assert not ok
     assert sorted(residuals.values()) == [-3, 3]
+    assert check_balanced(th, None) == (ok, residuals)
     ok, residuals = check_balanced(th, {"e1": 1, "e2": 1, "e3": -2})
     assert ok and set(residuals.values()) == {0}
     with pytest.raises(WeightError):

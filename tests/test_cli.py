@@ -215,6 +215,36 @@ def test_constituents_choice_limit():
     assert time.monotonic() - start < 1.0
     assert r.returncode == 1 and r.stderr.count(b"\n") == 1
     assert b"170859375" in r.stderr and b"100000" in r.stderr
+    assert r.stdout == b""
+
+
+def _peak_rss_kb(*args):
+    """Peak RSS of one CLI child with stdout discarded, read by a wrapper
+    process whose only child it is."""
+    wrapper = ("import resource, subprocess, sys; "
+               "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, "
+               "check=True); "
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    r = subprocess.run([sys.executable, "-c", wrapper] + CLI + list(args),
+                       capture_output=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": "0"})
+    return int(r.stdout)
+
+
+def test_constituents_k5_listing(tmp_path):
+    """K5's 7,776-entry listing is streamed: it does not depend on the hash
+    seed, and its peak memory stays near that of validating the file."""
+    path = tmp_path / "k5.json"
+    path.write_text(serialize(catalog.complete_graph_moment_curve(5)))
+    args = ("constituents", str(path), "--invariant", "determinant")
+    first = run_cli(*args, env_extra={"PYTHONHASHSEED": "0"})
+    second = run_cli(*args, env_extra={"PYTHONHASHSEED": "1"})
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    assert len(json.loads(first.stdout)["constituents"]) == 6 ** 5
+    listing = _peak_rss_kb(*args)
+    validate = _peak_rss_kb("validate", str(path))
+    assert listing - validate <= 4 * 1024, (listing, validate)
 
 
 def test_constituents_document():
@@ -249,6 +279,23 @@ def test_cg_output():
     assert run_cli("cg", fixture_path("theta_trivial.json")).stdout == b"0\n"
     r = run_cli("cg", fixture_path("k7.json"), "--json")
     assert json.loads(r.stdout) == {"conway_gordon": 1}
+
+
+def test_cg_refuses_vertex_free_components(tmp_path):
+    """A closed component without vertices, a free loop or a knot, makes
+    every constituent through all vertices a split link: refused, naming
+    the count."""
+    theta = catalog.theta_5_4()
+    for name, d, count in (
+            ("loops", Diagram(theta.vertices, theta.crossings, 2), b"(2)"),
+            ("knot", disjoint_union(catalog.trefoil(),
+                                    catalog.theta_trivial()), b"(1)")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(d))
+        r = run_cli("cg", str(path))
+        assert r.returncode == 1 and r.stdout == b"", name
+        assert r.stderr.count(b"\n") == 1, name
+        assert b"closed components without vertices " + count in r.stderr
 
 
 def test_cg_long_cycle(tmp_path):

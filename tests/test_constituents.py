@@ -1,20 +1,22 @@
 """Constituent links T(G): enumeration counts, fingerprints, Hamiltonian
 cycles, and the Conway-Gordon mod-2 Arf sum."""
 
+import json
 import random
 from collections import Counter
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 
-from sginv import catalog
-from sginv.constituents import (_choice_space, _extract, arf_from_determinant,
+from sginv import catalog, cli, constituents
+from sginv.constituents import (_choice_space, _extract, _fingerprint_value,
+                                arf_from_determinant, constituent_families,
                                 constituent_fingerprint, conway_gordon_sum,
                                 enumerate_constituents,
                                 hamiltonian_constituents)
 from sginv.diagram import (Crossing, Diagram, DiagramError, derive_edges,
-                           validate)
+                           serialize, validate)
 from sginv.moves import R2_VARIANTS, apply_r2, disjoint_union
 from sginv.yamada import sigma
 
@@ -138,6 +140,78 @@ def test_extraction_matches_cycle_oracle(name, d, samples):
         assert validate(link.diagram) == [], choice
         assert link.components == len(expected), choice
         assert Counter(link.component_vertices) == Counter(expected), choice
+
+
+@pytest.mark.parametrize("name, d, invariants", [
+    ("k4", catalog.complete_graph_moment_curve(4),
+     ("determinant", "alexander", "yamada")),
+    ("k4+3R2", _inflated_k4(), ("determinant",)),
+    ("theta_trivial", catalog.theta_trivial(),
+     ("determinant", "alexander", "yamada")),
+    ("theta_5_3", catalog.theta_5_3(), ("determinant", "alexander", "yamada")),
+    ("theta_5_4", catalog.theta_5_4(), ("determinant", "alexander", "yamada")),
+    ("k5", catalog.complete_graph_moment_curve(5), ("determinant",)),
+])
+def test_families_match_per_choice_extraction(name, d, invariants):
+    """Every choice gets from its cycle family the components and the
+    fingerprint that extracting the choice itself gives."""
+    members = enumerate_constituents(d)
+    for inv in invariants:
+        expected = [(m.components, _fingerprint_value(m.diagram, inv))
+                    for m in members]
+        assert list(constituent_families(d, inv)) == expected, inv
+
+
+@pytest.mark.parametrize("d, families", [
+    (catalog.complete_graph_moment_curve(4), 8),
+    (catalog.complete_graph_moment_curve(5), 38),
+    (catalog.theta_trivial(), 4),
+], ids=["k4", "k5", "theta_trivial"])
+def test_listing_extracts_each_family_once(tmp_path, capsys, monkeypatch,
+                                           d, families):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return extract(*args)
+
+    extract = constituents._extract
+    monkeypatch.setattr(constituents, "_extract", counting)
+    path = tmp_path / "d.json"
+    path.write_text(serialize(d))
+    assert cli.run(["constituents", str(path), "--invariant",
+                    "determinant"]) == 0
+    assert len(calls) == families
+    listing = json.loads(capsys.readouterr().out)["constituents"]
+    assert len(listing) == prod(comb(len(v.incident), 2) for v in d.vertices)
+
+
+@pytest.mark.parametrize("drop_empty", [False, True])
+@pytest.mark.parametrize("name, d, inv", [
+    ("k4+3R2", _inflated_k4(), "determinant"),
+    ("theta_5_4", catalog.theta_5_4(), "yamada"),
+    ("trefoil+theta", disjoint_union(catalog.trefoil(),
+                                     catalog.theta_trivial()), "alexander"),
+])
+def test_listing_bytes_match_per_choice_document(tmp_path, capsys, name, d,
+                                                 inv, drop_empty):
+    """The streamed listing is, byte for byte, the sorted-key dump of the
+    document built from per-choice extraction."""
+    members = [m for m in enumerate_constituents(d)
+               if not (drop_empty and m.is_empty)]
+    values = [_fingerprint_value(m.diagram, inv) for m in members]
+    doc = {"constituents": [{"choice": [[vid, list(pair)]
+                                        for vid, pair in m.choice],
+                             "components": m.components,
+                             "fingerprint": value}
+                            for m, value in zip(members, values)],
+           "multiset": sorted(values, key=lambda v: (str(v), repr(v)))}
+    path = tmp_path / "d.json"
+    path.write_text(serialize(d))
+    argv = ["constituents", str(path), "--invariant", inv]
+    assert cli.run(argv + ["--drop-empty"] * drop_empty) == 0
+    assert capsys.readouterr().out == \
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_fingerprint_rejects_unknown_invariant():
