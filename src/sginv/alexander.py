@@ -17,7 +17,7 @@ relations; the graph determinant is the integer analogue at t = -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (Diagram, DiagramError, Partition, derive_edges,
                       require_valid, seg_to_edge_id, wirtinger_relations)
@@ -64,8 +64,7 @@ def check_balanced(d: Diagram, weights):
     return all(r == 0 for r in residuals.values()), residuals
 
 
-@dataclass(frozen=True)
-class AlexanderMatrix:
+class AlexanderMatrix(NamedTuple):
     rows: tuple           # tuple of tuples of LaurentPoly in t
     arcs: Partition       # column order; the free loops' columns follow
     row_labels: tuple     # "crossing i" / "vertex v" / "free loop i"
@@ -189,8 +188,7 @@ def graph_determinant(d: Diagram, weights) -> int:
 # Wirtinger presentation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple  # "a1", "a2", ...
     relators: tuple    # each a tuple of (generator, exponent) letters
 

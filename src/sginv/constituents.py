@@ -14,9 +14,9 @@ Conway-Gordon mod-2 Arf sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
+from typing import NamedTuple
 
 from .alexander import alexander_polynomial, graph_determinant
 from .diagram import Diagram, DiagramError, derive_edges, rejoin, require_valid
@@ -27,8 +27,7 @@ from .yamada import yamada_raw
 MAX_CHOICES = 10 ** 5
 
 
-@dataclass(frozen=True)
-class ConstituentLink:
+class ConstituentLink(NamedTuple):
     diagram: Diagram          # vertex-free link diagram (may be empty)
     choice: tuple             # ((vertex id, (slot, slot)), ...) sorted by vertex
     components: int

@@ -15,16 +15,15 @@ a crossing is derived from its slots and sign: counterclockwise
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import count
+from typing import NamedTuple
 
 
 class DiagramError(ValueError):
     """Malformed diagram input (syntax, duplicate ids, dangling segments)."""
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     over_in: int
     over_out: int
     under_in: int
@@ -42,14 +41,12 @@ class Crossing:
         return ("over_in", "under_in", "over_out", "under_out")
 
 
-@dataclass(frozen=True)
-class VertexNode:
+class VertexNode(NamedTuple):
     id: int
     incident: tuple  # ((segment, "in"|"out"), ...) counterclockwise
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     vertices: tuple = ()
     crossings: tuple = ()
     free_loops: int = 0
@@ -265,12 +262,11 @@ class UnionFind:
             self.parent[ra] = rb
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Segments grouped into classes, numbered by least contained segment."""
     classes: tuple          # tuple of sorted segment tuples, sorted by min seg
     is_closed: tuple        # per class: no vertex incidence at all
-    class_of: dict = field(compare=False, repr=False)  # segment -> class index
+    class_of: dict          # segment -> class index, derived from classes
 
     def index_of(self, seg):
         return self.class_of[seg]

@@ -7,14 +7,13 @@ the objects the Yamada delete/contract axioms evaluate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .diagram import Diagram, DiagramError, UnionFind, smoothing_pairs
 
 
-@dataclass(frozen=True)
-class AbstractGraph:
+class AbstractGraph(NamedTuple):
     vertex_count: int
     edges: tuple  # sorted tuple of (u, v) with u <= v
     free_loops: int = 0

@@ -11,7 +11,7 @@ colors, with its signs eps, fixes the color of every arc of the diagram.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import Diagram, require_valid, wirtinger_relations
 
@@ -20,8 +20,7 @@ class QuandleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(NamedTuple):
     n: int
     op: tuple   # op[x][y] = x > y
     inv: tuple  # inv[x][y] = x >^-1 y

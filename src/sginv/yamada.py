@@ -1,26 +1,49 @@
 """The Yamada polynomial of a spatial graph diagram.
 
-The skein relation R(D) = A R(D_A) + A^-1 R(D_B) + R(D_V) is local, so R is
-a state sum: each of the 3^c crossing states (each crossing A- or B-smoothed
-or made a rigid vertex) adds A^(#A - #B) times the value of its crossing-free
-residue graph.  Each distinct residue is evaluated once by delete/contract
-down to bouquets, R(B_n) = -(-sigma)^n with sigma = A + 1 + A^-1, memoized
-per connected component as `connected_components` labels it.  The raw
-polynomial is a regular rigid-vertex isotopy invariant; (-A)^-m R with m the
-least exponent is invariant under kinks as well.
+The skein relation R(D) = A R(D_A) + A^-1 R(D_B) + R(D_V) resolves every
+crossing into an A- or B-smoothing or a rigid vertex, and a crossing-free
+graph G is worth the subset expansion
+
+    R(G) = sum over kept edge sets F of (-1)^mu(F) y^beta(F),
+
+y = -A - 2 - A^-1, with mu(F) the number of components of (V, F) and
+beta(F) its cycle rank; each free loop is a factor sigma = A + 1 + A^-1.
+Subdividing an edge does not change R(G), so every segment of the diagram
+is an edge on its own, and an A/B-smoothed crossing is two nodes of degree
+2.  Every weight is then local: A^(+1/-1/0) per A/B/V crossing, y per kept
+segment joining two ends already in one cluster, and -1 per cluster once
+no open segment still touches it.
+
+`yamada_raw` sums this as a transfer matrix over the *tiles*, the rigid
+vertices and the crossings, in a greedy minimum-frontier order.  A state
+is the connectivity partition of the frontier: one cluster label per open
+segment end (segments with exactly one end processed), labels numbered by
+first occurrence.  A segment's keep/delete choice is made when its second
+end is reached.  The cost is linear in the number of tiles for a bounded
+frontier.  Each state's polynomial in A and y is one packed int: the
+coefficient of A^a y^k is digit (a + c) + (2c + 1) k in base 2^bits, with
+c the number of crossings and bits wide enough for any coefficient.  So A
+and y are shifts, and the sum is unpacked once, at the end.
+
+`eval_crossing_free` evaluates an abstract multigraph by the
+delete/contract axioms; the test suite uses it as an oracle.  The raw
+polynomial is a regular rigid-vertex isotopy invariant; (-A)^-m R with m
+the least exponent is invariant under kinks as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from typing import NamedTuple
 
-from .diagram import Diagram, require_valid
+from .diagram import Diagram, require_valid, smoothing_pairs
 from .graphs import (AbstractGraph, connected_components, contract_edge,
-                     delete_edge, to_abstract_graph)
+                     delete_edge)
 from .laurent import LaurentPoly
 
 VAR = "A"
+
+# how many starts the tile order tries, at most
+_STARTS = 8
 
 
 def sigma() -> LaurentPoly:
@@ -56,23 +79,173 @@ def eval_crossing_free(g: AbstractGraph, memo=None) -> LaurentPoly:
     return out
 
 
-def yamada_raw(d: Diagram) -> LaurentPoly:
-    """R(G) as a state sum over the A/B/V resolutions of every crossing."""
-    require_valid(d)
-    exponents = {}  # residue graph -> {A-exponent: number of states}
-    for state in product("ABV", repeat=len(d.crossings)):
-        counts = exponents.setdefault(to_abstract_graph(d, state), {})
-        e = state.count("A") - state.count("B")
-        counts[e] = counts.get(e, 0) + 1
-    memo = {}
-    total = LaurentPoly.zero(VAR)
-    for g, counts in exponents.items():
-        total = total + LaurentPoly(counts, VAR) * eval_crossing_free(g, memo)
+def _canon(labels):
+    """Relabel by first occurrence."""
+    seen = {}
+    return tuple([seen.setdefault(x, len(seen)) for x in labels])
+
+
+def _tiles(d: Diagram):
+    """Per vertex, then per crossing: its segment ends in slot order (2s for
+    the tail of segment s, 2s + 1 for its head) and its options, each an
+    A-exponent shifted by +1 per crossing and the node index of every slot."""
+    tiles = [(tuple(2 * s + (direction == "in") for s, direction in v.incident),
+              ((0, (0,) * len(v.incident)),))
+             for v in d.vertices]
+    for c in d.crossings:
+        slots = c.slots()
+        ends = tuple(2 * s + name.endswith("_in") for name, s in slots.items())
+        options = [(1, (0, 0, 0, 0))]
+        for shift, mode in ((2, "A"), (0, "B")):
+            node = {slot: i for i, pair in enumerate(smoothing_pairs(c.sign, mode))
+                    for slot in pair}
+            options.append((shift, _canon(node[slot] for slot in slots)))
+        tiles.append((ends, tuple(options)))
+    return tiles
+
+
+def _walk(start, degree, neighbors):
+    """A greedy minimum-frontier order of the tiles from `start`, and its
+    (widest frontier, summed frontier).  `degree[t]` counts the ends of t
+    whose segment leaves t; each processed neighbor lowers the frontier
+    change of taking t by 2 per shared segment.  Candidates wait in one
+    stack per frontier change, the latest first; stale entries are
+    skipped."""
+    n = len(degree)
+    gain = list(degree)
+    done = [False] * n
+    buckets = {gain[start]: [start]}
+    order = []
+    width = widest = total = 0
+    fresh = 0
+    while len(order) < n:
+        t = None
+        while buckets and t is None:
+            g = min(buckets)
+            stack = buckets[g]
+            u = stack.pop()
+            if not stack:
+                del buckets[g]
+            if not done[u] and gain[u] == g:
+                t = u
+        if t is None:   # a new component: the first tile not taken yet
+            while done[fresh]:
+                fresh += 1
+            t = fresh
+        done[t] = True
+        order.append(t)
+        width += gain[t]
+        widest = max(widest, width)
+        total += width
+        for u in neighbors[t]:
+            if not done[u]:
+                gain[u] -= 2
+        for u in dict.fromkeys(neighbors[t]):
+            if not done[u]:
+                buckets.setdefault(gain[u], []).append(u)
+    return (widest, total), order
+
+
+def _tile_order(tiles):
+    """The best greedy walk over a bounded, evenly spaced set of starts."""
+    tile_of = {e: t for t, (ends, _) in enumerate(tiles) for e in ends}
+    neighbors = [[tile_of[e ^ 1] for e in ends if tile_of[e ^ 1] != t]
+                 for t, (ends, _) in enumerate(tiles)]
+    degree = [len(nb) for nb in neighbors]
+    n = len(tiles)
+    starts = sorted({i * n // _STARTS for i in range(_STARTS)}) if n else []
+    return min((_walk(s, degree, neighbors) for s in starts),
+               default=(None, []))[1]
+
+
+def _close(states, i, j, y_shift):
+    """Decide the segment whose two ends are frontier entries i < j: keep
+    it (joining their clusters, a factor y if they were one already) or
+    delete it; then drop both entries, a factor -1 per cluster this
+    finishes.  When the segment is the last tie of one of two clusters,
+    deleting it finishes that cluster and keeping it does not, so the two
+    choices cancel."""
+    out = {}
+    get = out.get
+    for labels, v in states.items():
+        a, b = labels[i], labels[j]
+        rest = labels[:i] + labels[i + 1:j] + labels[j + 1:]
+        if a == b:
+            v += v << y_shift
+            key = _canon(rest)
+            out[key] = get(key, 0) + (v if a in rest else -v)
+        elif a in rest and b in rest:
+            key = _canon(rest)
+            out[key] = get(key, 0) + v
+            key = _canon([a if x == b else x for x in rest])
+            out[key] = get(key, 0) + v
+    return out
+
+
+def _times(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def _unpack(packed, c, bits):
+    """The exponent -> coefficient dict of the packed sum: balanced base
+    2^bits digits, 2c + 1 A-exponents per power of y, expanded by Horner
+    in y = -A - 2 - A^-1."""
+    rows = []
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    while packed:
+        row = {}
+        for a in range(-c, c + 1):
+            digit = packed & mask
+            if digit >= half:
+                digit -= mask + 1
+            packed = (packed - digit) >> bits
+            if digit:
+                row[a] = digit
+        rows.append(row)
+    total = {}
+    for row in reversed(rows):
+        total = _times(total, {-1: -1, 0: -2, 1: -1})
+        for a, k in row.items():
+            total[a] = total.get(a, 0) + k
     return total
 
 
-@dataclass(frozen=True)
-class YamadaResult:
+def yamada_raw(d: Diagram) -> LaurentPoly:
+    """R(G) by the frontier transfer matrix over the diagram's tiles."""
+    require_valid(d)
+    c = len(d.crossings)
+    tiles = _tiles(d)
+    # a coefficient counts at most 3^c * 2^(segments) choices
+    bits = (3 ** c << len(d.segment_ids())).bit_length() + 1
+    states = {(): 1}
+    frontier = []
+    for t in _tile_order(tiles):
+        ends, options = tiles[t]
+        opened = {}
+        get = opened.get
+        for labels, v in states.items():
+            m = len(set(labels))
+            for shift, nodes in options:
+                key = labels + tuple([m + k for k in nodes])
+                opened[key] = get(key, 0) + (v << bits * shift)
+        states = opened
+        frontier += ends
+        for e in ends:
+            if e in frontier and e ^ 1 in frontier:
+                i, j = sorted((frontier.index(e), frontier.index(e ^ 1)))
+                states = _close(states, i, j, bits * (2 * c + 1))
+                del frontier[j], frontier[i]
+    total = _unpack(states.get((), 0), c, bits)
+    for _ in range(d.free_loops):
+        total = _times(total, {-1: 1, 0: 1, 1: 1})
+    return LaurentPoly(total, VAR)
+
+
+class YamadaResult(NamedTuple):
     raw: LaurentPoly
     normalized: LaurentPoly
     min_power: int | None  # None when raw = 0

@@ -1,17 +1,20 @@
 """Shared helpers for the test suite: fixture paths, a small diagram corpus,
 diagram canonicalization and edge labels, balanced theta weights, the
 explicit 9x10 relation matrix, random polynomial generation (seeded; every
-test run is deterministic), and the Laurent divisibility and cofactor
-determinant oracles.
+test run is deterministic), and the Laurent divisibility, cofactor
+determinant and flat Yamada state-sum oracles.
 """
 
 import os
 import random
+from itertools import product
 
 from sginv import catalog
 from sginv.alexander import check_balanced
 from sginv.diagram import Diagram, Partition, parse_diagram, serialize
+from sginv.graphs import to_abstract_graph
 from sginv.laurent import LaurentPoly, _poly_div_exact, _to_dense
+from sginv.yamada import VAR, eval_crossing_free
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -134,4 +137,20 @@ def cofactor_det(matrix):
         minor = [[row[k] for k in range(n) if k != j] for row in rest]
         term = matrix[0][j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def flat_yamada(d: Diagram):
+    """R(G) as the flat state sum over the 3^c A/B/V crossing states: each
+    distinct crossing-free residue graph is evaluated once by
+    delete/contract.  Exponential in the crossings; keep inputs small."""
+    exponents = {}  # residue graph -> {A-exponent: number of states}
+    for state in product("ABV", repeat=len(d.crossings)):
+        counts = exponents.setdefault(to_abstract_graph(d, state), {})
+        e = state.count("A") - state.count("B")
+        counts[e] = counts.get(e, 0) + 1
+    memo = {}
+    total = LaurentPoly.zero(VAR)
+    for g, counts in exponents.items():
+        total = total + LaurentPoly(counts, VAR) * eval_crossing_free(g, memo)
     return total

@@ -310,6 +310,29 @@ def test_cg_long_cycle(tmp_path):
     assert r.returncode == 0 and r.stdout == b"0\n"
 
 
+def test_yamada_long_path(tmp_path):
+    """The frontier sum runs in a loop over the tiles: a crossing-free path
+    of 1,200 edges, a tree whose every edge is a bridge, is worth 0."""
+    n = 1200
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"vertices": [
+        {"id": i, "incident": ([[f"s{i - 1}", "in"]] if i else [])
+                              + ([[f"s{i}", "out"]] if i < n else [])}
+        for i in range(n + 1)]}))
+    r = run_cli("yamada", str(path))
+    assert r.returncode == 0 and r.stdout == b"0\n"
+
+
+def test_import_leaves_out_dataclasses():
+    """The records are named tuples: `dataclasses` (which pulls in
+    `inspect`) stays off the start-up path of every CLI run.  -S keeps
+    site hooks from loading modules of their own."""
+    r = subprocess.run([sys.executable, "-S", "-c", "import sys, sginv.cli; "
+                        "print('dataclasses' in sys.modules)"],
+                       capture_output=True)
+    assert r.returncode == 0 and r.stdout == b"False\n"
+
+
 def test_byte_determinism():
     for args in (("yamada", fixture_path("theta_5_4.json"), "--json"),
                  ("constituents", fixture_path("theta_trivial.json"),

@@ -1,20 +1,23 @@
-"""Yamada polynomial: axioms on base cases, an independent non-memoized
-oracle, multiplicativity, move behavior, and tabulated theta-curve values."""
+"""Yamada polynomial: axioms on base cases, independent oracles (a
+non-memoized skein recursion, the flat state sum and the subset
+expansion), multiplicativity, move behavior, and tabulated theta-curve
+values."""
 
+import os
 import random
 from itertools import combinations, permutations
 
 from sginv import catalog
-from sginv.diagram import (Crossing, Diagram, UnionFind, VertexNode,
-                           resolve_crossing)
+from sginv.diagram import (Crossing, Diagram, DiagramError, UnionFind,
+                           VertexNode, parse_diagram, resolve_crossing)
 from sginv.graphs import (AbstractGraph, connected_components, contract_edge,
                           delete_edge, to_abstract_graph)
 from sginv.laurent import LaurentPoly
-from sginv.moves import apply_r1, apply_r2, disjoint_union, mirror
+from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, disjoint_union, mirror
 from sginv.yamada import (eval_crossing_free, sigma, yamada_normalized,
                           yamada_raw)
 
-from helpers import small_corpus
+from helpers import FIXTURE_DIR, flat_yamada, read_fixture, small_corpus
 
 A = LaurentPoly.monomial(1, 1, "A")
 A_inv = LaurentPoly.monomial(1, -1, "A")
@@ -69,14 +72,41 @@ def subset_expansion(g):
     return out * sigma() ** g.free_loops
 
 
-def test_crossing_free_matches_subset_expansion():
+def seeded_graphs():
+    """300 random multigraphs on 1-5 vertices with up to 7 edges (loops
+    and parallel edges allowed) and up to 2 free loops."""
     rng = random.Random(2010)
+    graphs = []
     for _ in range(300):
         n = rng.randint(1, 5)
         edges = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(0, 7))]
-        g = AbstractGraph.make(n, edges, rng.randint(0, 2))
+        graphs.append(AbstractGraph.make(n, edges, rng.randint(0, 2)))
+    return graphs
+
+
+def graph_diagram(g):
+    """(diagram, isolated vertex count): the crossing-free diagram with one
+    segment u -> v per edge of g.  A diagram vertex needs an incidence, so
+    the isolated vertices of g, worth -1 each, are left out and counted."""
+    incident = {}
+    for s, (u, v) in enumerate(g.edges):
+        incident.setdefault(u, []).append((s, "out"))
+        incident.setdefault(v, []).append((s, "in"))
+    vertices = tuple(VertexNode(u, tuple(slots))
+                     for u, slots in sorted(incident.items()))
+    return Diagram(vertices, (), g.free_loops), g.vertex_count - len(incident)
+
+
+def test_crossing_free_matches_subset_expansion():
+    for g in seeded_graphs():
         assert eval_crossing_free(g) == subset_expansion(g), g
+
+
+def test_crossing_free_diagrams_match_subset_expansion():
+    for g in seeded_graphs():
+        d, isolated = graph_diagram(g)
+        assert yamada_raw(d) * (-1) ** isolated == subset_expansion(g), g
 
 
 def test_base_cases():
@@ -106,6 +136,58 @@ def test_kink_calibration():
 def test_matches_independent_oracle():
     for name, d in small_corpus().items():
         assert yamada_raw(d) == slow_yamada(d), name
+
+
+def test_matches_flat_state_sum():
+    """Every fixture and catalog diagram up to 9 crossings, K4,
+    an 8-crossing 3-braid closure and seeded R1/R2 inflations."""
+    corpus = {}
+    for name in sorted(os.listdir(FIXTURE_DIR)):
+        try:
+            d = parse_diagram(read_fixture(name))
+        except DiagramError:
+            continue        # broken inputs and quandle tables
+        if len(d.crossings) <= 9:
+            corpus[name] = d
+    for name in ("unknot", "trefoil", "figure_eight", "torus_2_5",
+                 "knot_5_2", "theta_5_3", "theta_5_4", "theta_trivial"):
+        corpus[name] = getattr(catalog, name)()
+    corpus["kink_pos"] = catalog.kinked_unknot(1)
+    corpus["kink_neg"] = catalog.kinked_unknot(-1)
+    corpus["k4"] = catalog.complete_graph_moment_curve(4)
+    corpus["closure3x8"] = catalog.braid_closure(3, [1, -2] * 4)
+    rng = random.Random(909)
+    bases = sorted(n for n, d in corpus.items() if len(d.crossings) <= 5)
+    for i in range(24):
+        name = rng.choice(bases)
+        d = corpus[name]
+        segs = sorted(d.segment_ids())
+        if len(segs) >= 2 and rng.random() < 0.5:
+            s1, s2 = rng.sample(segs, 2)
+            d = apply_r2(d, s1, s2, rng.choice(R2_VARIANTS))
+        elif segs:
+            d = apply_r1(d, rng.choice(segs), rng.choice((1, -1)))
+        corpus[f"{name}+{i}"] = d
+    for name, d in corpus.items():
+        assert yamada_raw(d) == flat_yamada(d), name
+
+
+def test_eighteen_crossing_closure_moves():
+    """Out of every oracle's reach: on the 3-braid closure of
+    (sigma_1 sigma_2^-1)^9, mirroring swaps A and A^-1, one seeded R2 move
+    leaves the raw polynomial unchanged and a positive kink scales it by
+    A^2 (the closure is amphichiral, so only the kink tells A from A^-1)."""
+    d = parse_diagram(read_fixture("closure3x18.json"))
+    assert len(d.crossings) == 18
+    base = yamada_raw(d)
+    assert not base.is_zero()
+    flipped = LaurentPoly({-e: c for e, c in base.terms()}, "A")
+    assert yamada_raw(mirror(d)) == flipped
+    rng = random.Random(18)
+    segs = sorted(d.segment_ids())
+    s1, s2 = rng.sample(segs, 2)
+    assert yamada_raw(apply_r2(d, s1, s2, rng.choice(R2_VARIANTS))) == base
+    assert yamada_raw(apply_r1(d, rng.choice(segs), 1)) == A * A * base
 
 
 def test_crossing_order_independence():
