@@ -1,16 +1,15 @@
 """Command-line surface: ``sginv <subcommand> <file> [flags]``.
 
-Exit codes: 0 success, 1 computation error (unbalanced weights, crossing cap
-exceeded, no Hamiltonian cycle, ...), 2 input error (unreadable file, broken
-JSON, unknown flags).  Output is deterministic: identical input and flags
-give byte-identical output.
+Exit codes: 0 success, 1 computation error (unbalanced weights, cost
+estimate above its limit, no Hamiltonian cycle, ...), 2 input error
+(unreadable file, broken JSON, unknown flags).  Output is deterministic:
+identical input and flags give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .alexander import (WeightError, alexander_polynomial, graph_determinant,
@@ -24,7 +23,8 @@ from .quandle import (FiniteQuandle, QuandleError, count_colorings,
                       trivial_quandle, verify_quandle)
 from .yamada import yamada_normalized, yamada_raw
 
-DEFAULT_MAX_CROSSINGS = 18
+# free loops are read as kinked unknots, one more arc each
+MAX_FREE_LOOPS = 18
 
 
 class CliError(Exception):
@@ -42,16 +42,14 @@ def _read(path):
 
 
 def _load(args, check=True):
-    """Parse args.file; a checked diagram's free loops must fit the cap."""
+    """Parse args.file; refuse a checked diagram above MAX_FREE_LOOPS."""
     try:
         d, weights = parse_document(_read(args.file), check=check)
     except DiagramError as exc:
         raise CliError(2, f"{args.file}: {exc}") from None
-    if check:
-        cap = _crossing_cap(getattr(args, "max_crossings", None))
-        if d.free_loops > cap:
-            raise CliError(1, f"diagram has {d.free_loops} free loops, above "
-                              f"the cap of {cap}")
+    if check and d.free_loops > MAX_FREE_LOOPS:
+        raise CliError(1, f"diagram has {d.free_loops} free loops, above the "
+                          f"limit of {MAX_FREE_LOOPS}")
     return d, weights
 
 
@@ -87,25 +85,6 @@ def _parse_weight_flags(pairs):
     return out
 
 
-def _crossing_cap(flag=None):
-    if flag is not None:
-        return flag
-    env = os.environ.get("SGINV_MAX_CROSSINGS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(2, f"bad SGINV_MAX_CROSSINGS value {env!r}") from None
-    return DEFAULT_MAX_CROSSINGS
-
-
-def _check_cap(d, args):
-    cap = _crossing_cap(args.max_crossings)
-    if len(d.crossings) > cap:
-        raise CliError(1, f"diagram has {len(d.crossings)} crossings, above "
-                          f"the cap of {cap}; raise --max-crossings")
-
-
 def _quandle_from_args(args):
     if args.dihedral is not None:
         return dihedral_quandle(args.dihedral)
@@ -113,12 +92,13 @@ def _quandle_from_args(args):
         return trivial_quandle(args.trivial)
     try:
         doc = json.loads(_read(args.quandle))
-        op = doc["op"]
-        if len(op) != int(doc["n"]):
-            raise CliError(2, f"{args.quandle}: op table size disagrees with n")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CliError):
-            raise
+        n, op = doc["n"], doc["op"]
+        # JSON gives plain lists and ints; `type` tells true from 1
+        if not (type(n) is int and len(op) == n and all(
+                type(row) is list and len(row) == n
+                and all(type(x) is int for x in row) for row in op)):
+            raise ValueError("expected n rows of n integers")
+    except (KeyError, TypeError, ValueError) as exc:   # JSONDecodeError too
         raise CliError(2, f"{args.quandle}: bad quandle table: {exc}") from None
     bad = verify_quandle(op)
     if bad:
@@ -141,7 +121,6 @@ def _cmd_validate(args):
 
 def _cmd_yamada(args):
     d, _ = _load(args)
-    _check_cap(d, args)
     poly = yamada_normalized(d).normalized if args.normalized else yamada_raw(d)
     _emit(args, {"yamada": poly.to_pairs()}, str(poly))
     return 0
@@ -182,19 +161,23 @@ def _cmd_constituents(args):
     d, _ = _load(args)
     # Every family is evaluated before the first byte goes out, so a
     # refusal or a failed fingerprint leaves stdout empty.  The listing is
-    # then written entry by entry, as the bytes of one sorted-key dump of
-    # {"constituents": [...], "multiset": [...]}.
+    # the bytes of one sorted-key dump of {"constituents": [...], "multiset":
+    # [...]}, written entry by entry; the tail after the all-int choice is
+    # dumped once per family.
     families = list(constituent_families(d, args.invariant))
+    tails = {}
     out = sys.stdout
     out.write('{"constituents":[')
     sep = ""
-    for choice, (components, value) in zip(vertex_choices(d), families):
+    for choice, family in zip(vertex_choices(d), families):
+        components, value = family
         if components or not args.drop_empty:
-            out.write(sep + _dump({
-                "choice": [[vid, list(pair)] for vid, pair in choice],
-                "components": components,
-                "fingerprint": value,
-            }))
+            if id(family) not in tails:
+                tails[id(family)] = _dump({"components": components,
+                                           "fingerprint": value})[1:]
+            out.write(sep + '{"choice":['
+                      + ",".join(f"[{vid},[{a},{b}]]" for vid, (a, b) in choice)
+                      + "]," + tails[id(family)])
             sep = ","
     values = sorted((value for components, value in families
                      if components or not args.drop_empty),
@@ -250,9 +233,6 @@ def build_parser():
     p = sub.add_parser("yamada", parents=[common], help="Yamada polynomial")
     p.add_argument("--normalized", action="store_true",
                    help="report the unit-normalized polynomial")
-    p.add_argument("--max-crossings", type=int, default=None,
-                   help=f"crossing cap (default {DEFAULT_MAX_CROSSINGS}, "
-                        "or SGINV_MAX_CROSSINGS)")
     p.set_defaults(func=_cmd_yamada)
 
     for name, func, title in (("alexander", _cmd_alexander,

@@ -19,11 +19,12 @@ vertices and the crossings, in a greedy minimum-frontier order.  A state
 is the connectivity partition of the frontier: one cluster label per open
 segment end (segments with exactly one end processed), labels numbered by
 first occurrence.  A segment's keep/delete choice is made when its second
-end is reached.  The cost is linear in the number of tiles for a bounded
-frontier.  Each state's polynomial in A and y is one packed int: the
+end is reached.  Each state's polynomial in A and y is one packed int: the
 coefficient of A^a y^k is digit (a + c) + (2c + 1) k in base 2^bits, with
 c the number of crossings and bits wide enough for any coefficient.  So A
-and y are shifts, and the sum is unpacked once, at the end.
+and y are shifts, and the sum is unpacked once, at the end.  The cost is
+linear in the tiles for a bounded frontier; a diagram whose cost,
+estimated from the tile order, is above MAX_COST is refused.
 
 `eval_crossing_free` evaluates an abstract multigraph by the
 delete/contract axioms; the test suite uses it as an oracle.  The raw
@@ -33,9 +34,10 @@ the least exponent is invariant under kinks as well.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
-from .diagram import Diagram, require_valid, smoothing_pairs
+from .diagram import Diagram, DiagramError, require_valid, smoothing_pairs
 from .graphs import (AbstractGraph, connected_components, contract_edge,
                      delete_edge)
 from .laurent import LaurentPoly
@@ -44,6 +46,8 @@ VAR = "A"
 
 # how many starts the tile order tries, at most
 _STARTS = 8
+# the largest estimated cost `yamada_raw` takes on, timed in ROADMAP.md item 1
+MAX_COST = 3 * 10 ** 10
 
 
 def sigma() -> LaurentPoly:
@@ -106,18 +110,18 @@ def _tiles(d: Diagram):
 
 def _walk(start, degree, neighbors):
     """A greedy minimum-frontier order of the tiles from `start`, and its
-    (widest frontier, summed frontier).  `degree[t]` counts the ends of t
-    whose segment leaves t; each processed neighbor lowers the frontier
-    change of taking t by 2 per shared segment.  Candidates wait in one
-    stack per frontier change, the latest first; stale entries are
+    (widest frontier, summed frontier, components).  `degree[t]` counts the
+    ends of t whose segment leaves t; each processed neighbor lowers the
+    frontier change of taking t by 2 per shared segment.  Candidates wait in
+    one stack per frontier change, the latest first; stale entries are
     skipped."""
     n = len(degree)
     gain = list(degree)
     done = [False] * n
     buckets = {gain[start]: [start]}
     order = []
-    width = widest = total = 0
-    fresh = 0
+    width = widest = total = fresh = 0
+    parts = 1
     while len(order) < n:
         t = None
         while buckets and t is None:
@@ -132,6 +136,7 @@ def _walk(start, degree, neighbors):
             while done[fresh]:
                 fresh += 1
             t = fresh
+            parts += 1
         done[t] = True
         order.append(t)
         width += gain[t]
@@ -143,7 +148,7 @@ def _walk(start, degree, neighbors):
         for u in dict.fromkeys(neighbors[t]):
             if not done[u]:
                 buckets.setdefault(gain[u], []).append(u)
-    return (widest, total), order
+    return (widest, total, parts), order
 
 
 def _tile_order(tiles):
@@ -155,7 +160,7 @@ def _tile_order(tiles):
     n = len(tiles)
     starts = sorted({i * n // _STARTS for i in range(_STARTS)}) if n else []
     return min((_walk(s, degree, neighbors) for s in starts),
-               default=(None, []))[1]
+               default=((0, 0, 0), []))
 
 
 def _close(states, i, j, y_shift):
@@ -219,11 +224,25 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
     require_valid(d)
     c = len(d.crossings)
     tiles = _tiles(d)
+    segments = len(d.segment_ids())
     # a coefficient counts at most 3^c * 2^(segments) choices
-    bits = (3 ** c << len(d.segment_ids())).bit_length() + 1
+    bits = (3 ** c << segments).bit_length() + 1
+    (widest, _, parts), order = _tile_order(tiles)
+    # Cost: tiles * Bell(widest) (a bound on the states) * bits per polynomial
+    # (2c + 1 digits per power of y, up to the tile graph's cycle rank).  Row k
+    # of the Bell triangle starts at Bell(k); grow it only under the limit.
+    unit = len(tiles) * bits * (2 * c + 1) * (segments - len(tiles) + parts + 1)
+    row = [1]
+    while len(row) <= widest and unit * row[0] <= MAX_COST:
+        row = list(accumulate(row, initial=row[-1]))
+    if unit * row[0] > MAX_COST:
+        bound = "" if len(row) > widest else "at least "
+        raise DiagramError(f"estimated Yamada cost {bound}{unit * row[0]:.2g} "
+                           f"(widest frontier {widest}) is above the limit of "
+                           f"{MAX_COST:.0e}")
     states = {(): 1}
     frontier = []
-    for t in _tile_order(tiles):
+    for t in order:
         ends, options = tiles[t]
         opened = {}
         get = opened.get

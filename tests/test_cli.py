@@ -1,5 +1,5 @@
 """Black-box CLI tests: exit codes, exact output bytes, determinism, and
-the crossing cap / environment-variable interplay."""
+the refusals: the Yamada cost estimate and the bound on free loops."""
 
 import json
 import os
@@ -8,8 +8,11 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from sginv import catalog
 from sginv.diagram import Diagram, serialize
+from sginv.laurent import LaurentPoly
 from sginv.moves import disjoint_union
 
 from helpers import fixture_path
@@ -18,12 +21,8 @@ CLI = [sys.executable, "-m", "sginv.cli"]
 
 
 def run_cli(*args, env_extra=None, **kwargs):
-    env = dict(os.environ)
-    env.pop("SGINV_MAX_CROSSINGS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, env=env,
-                          **kwargs)
+    return subprocess.run(CLI + list(args), capture_output=True,
+                          env={**os.environ, **(env_extra or {})}, **kwargs)
 
 
 def _limit_memory():
@@ -66,22 +65,82 @@ def test_yamada_normalized_json():
          [14, -1], [16, 1], [18, 1]]
 
 
-def test_crossing_cap():
-    r = run_cli("yamada", fixture_path("k7.json"))
-    assert r.returncode == 1
-    assert b"35 crossings" in r.stderr
-    # the environment variable mirrors the flag; the flag wins
-    r = run_cli("yamada", fixture_path("trefoil.json"),
-                env_extra={"SGINV_MAX_CROSSINGS": "2"})
-    assert r.returncode == 1
-    r = run_cli("yamada", fixture_path("trefoil.json"), "--max-crossings", "3",
-                env_extra={"SGINV_MAX_CROSSINGS": "2"})
-    assert r.returncode == 0
+def _grid(n):
+    """The crossing-free n x n grid graph: vertex k = n i + j sends segment
+    2k to its right neighbor and segment 2k + 1 to the one below."""
+    vertices = []
+    for i in range(n):
+        for j in range(n):
+            k = n * i + j
+            slots = (([[2 * k, "out"]] if j + 1 < n else [])
+                     + ([[2 * (k - n) + 1, "in"]] if i else [])
+                     + ([[2 * (k - 1), "in"]] if j else [])
+                     + ([[2 * k + 1, "out"]] if i + 1 < n else []))
+            vertices.append({"id": k, "incident": slots})
+    return json.dumps({"vertices": vertices})
+
+
+def _assert_cost_refused(path, widest):
+    start = time.monotonic()
+    r = run_cli("yamada", path, timeout=10)
+    assert time.monotonic() - start < 1.0, path
+    assert r.returncode == 1 and r.stdout == b"", path
+    assert r.stderr.count(b"\n") == 1, path
+    assert b"estimated Yamada cost " in r.stderr, path
+    assert b"(widest frontier %d)" % widest in r.stderr, path
+
+
+def test_yamada_cost_refusal():
+    """K7 (35 crossings, widest frontier 12) is refused before any state is
+    opened, with the estimate on one line."""
+    _assert_cost_refused(fixture_path("k7.json"), 12)
+
+
+def test_yamada_refuses_wide_and_long_diagrams(tmp_path):
+    """The estimate, not the crossing count, decides: crossing-free grids
+    of widest frontier 11 and 13, and the 100-crossing closure of
+    (sigma_1 sigma_2^-1)^50, whose frontier stays at 6 but whose packed
+    polynomials grow with the crossings, are refused at once."""
+    for name, text, widest in (
+            ("grid10", _grid(10), 11), ("grid12", _grid(12), 13),
+            ("closure50", serialize(catalog.braid_closure(3, [1, -2] * 50)), 6)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        _assert_cost_refused(str(path), widest)
+
+
+# R of the closure of (sigma_1 sigma_2^-1)^12 from A^-37 up to A^0; the
+# closure is amphichiral, so the coefficients of A^1 .. A^37 mirror these
+CLOSURE_12_COEFFS = (
+    1, -11, 43, -34, -265, 857, -343, -3280, 6938, 534, -22734, 30733, 18493,
+    -99551, 82759, 113185, -300441, 126857, 403233, -653691, 25920, 996504,
+    -1031984, -425543, 1816491, -1105581, -1305291, 2458855, -531839,
+    -2307913, 2339611, 656971, -2775359, 1183161, 1887264, -2177193, -612490,
+    2410293)
+
+
+def test_yamada_runs_under_the_estimate(tmp_path):
+    """Diagrams above the old cap of 18 crossings but cheap for the frontier
+    sum run: closures of (sigma_1 sigma_2^-1)^12 and ^15 (24 and 30
+    crossings) and K6 (15 crossings, widest frontier 9).  The 24-crossing
+    value is the one the crossing cap gave when raised to 24."""
+    terms = {e - 37: c for e, c in enumerate(CLOSURE_12_COEFFS)}
+    terms.update({-e: c for e, c in terms.items()})
+    for name, d, want in (
+            ("closure12", catalog.braid_closure(3, [1, -2] * 12),
+             str(LaurentPoly(terms, "A")).encode() + b"\n"),
+            ("closure15", catalog.braid_closure(3, [1, -2] * 15), None),
+            ("k6", catalog.complete_graph_moment_curve(6), None)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(d))
+        r = run_cli("yamada", str(path), timeout=60)
+        assert r.returncode == 0 and r.stderr == b"", name
+        assert want is None or r.stdout == want, name
 
 
 def test_free_loop_cap(tmp_path):
     """A huge free-loop count is refused at once by the subcommands that
-    spend work on each loop; the crossing cap bounds it."""
+    spend work on each loop; at most 18 free loops are taken."""
     path = tmp_path / "loops.json"
     path.write_text('{"vertices": [], "crossings": [], '
                     '"free_loops": 1000000000000}')
@@ -94,11 +153,16 @@ def test_free_loop_cap(tmp_path):
         assert r.returncode == 1, args
         assert r.stderr.count(b"\n") == 1
         assert b"1000000000000 free loops" in r.stderr
-    path.write_text('{"vertices": [], "crossings": [], "free_loops": 3}')
-    assert run_cli("yamada", str(path)).returncode == 0
-    assert run_cli("yamada", str(path), "--max-crossings", "2").returncode == 1
-    r = run_cli("cg", str(path), env_extra={"SGINV_MAX_CROSSINGS": "2"})
-    assert r.returncode == 1 and b"3 free loops" in r.stderr
+    for loops in (3, 18, 19):
+        path.write_text('{"vertices": [], "crossings": [], '
+                        f'"free_loops": {loops}}}')
+        for args in (("yamada",), ("determinant",), ("group",)):
+            r = run_cli(args[0], str(path))
+            if loops <= 18:
+                assert r.returncode == 0, (loops, args)
+            else:
+                assert r.returncode == 1, args
+                assert b"19 free loops, above the limit of 18" in r.stderr
 
 
 def test_free_loops_read_as_kinks(tmp_path):
@@ -182,6 +246,21 @@ def test_colorings():
     assert r.stdout == b"4\n"
     # one selection flag is mandatory
     assert run_cli("colorings", fixture_path("trefoil.json")).returncode == 2
+
+
+@pytest.mark.parametrize("table", [
+    '{"n": 1, "op": [["a"]]}', '{"n": 2, "op": [[0, 0.5], [1, 1]]}',
+    '{"n": 1, "op": [[null]]}', '{"n": 2, "op": [[0, 1], [1]]}',
+    '{"n": 1, "op": [[true]]}'], ids=["string", "float", "null", "ragged",
+                                     "bool"])
+def test_malformed_quandle_table(tmp_path, table):
+    """A table whose rows are not n integers each is an input error."""
+    path = tmp_path / "q.json"
+    path.write_text(table)
+    r = run_cli("colorings", fixture_path("trefoil.json"), "--quandle",
+                str(path))
+    assert r.returncode == 2 and r.stdout == b""
+    assert r.stderr.count(b"\n") == 1 and b"bad quandle table" in r.stderr
 
 
 def test_pcolor():

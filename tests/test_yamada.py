@@ -1,11 +1,14 @@
 """Yamada polynomial: axioms on base cases, independent oracles (a
 non-memoized skein recursion, the flat state sum and the subset
-expansion), multiplicativity, move behavior, and tabulated theta-curve
-values."""
+expansion), multiplicativity, move behavior, tabulated theta-curve
+values, and the refusal of a diagram whose estimated cost is too high."""
 
 import os
 import random
+import time
 from itertools import combinations, permutations
+
+import pytest
 
 from sginv import catalog
 from sginv.diagram import (Crossing, Diagram, DiagramError, UnionFind,
@@ -255,3 +258,17 @@ def test_theta_table_values():
     got = str(yamada_normalized(catalog.theta_5_4()).normalized)
     assert got == ("-1 - A - A^2 - A^3 - 2A^4 - A^5 - A^6 - A^7 + A^9 "
                    "+ A^11 + A^13 + A^16 - A^17")
+
+
+def test_wide_frontier_refused_at_once():
+    """Two vertices joined by 5,000 parallel edges leave 5,000 open ends
+    after the first: the estimate stops its Bell recurrence once past the
+    limit, so the refusal needs no big numbers and names a lower bound."""
+    k = 5000
+    d = Diagram((VertexNode(0, tuple((s, "out") for s in range(k))),
+                 VertexNode(1, tuple((s, "in") for s in range(k)))), (), 0)
+    start = time.monotonic()
+    with pytest.raises(DiagramError, match=r"estimated Yamada cost at least "
+                                           r"\S+ \(widest frontier 5000\)"):
+        yamada_raw(d)
+    assert time.monotonic() - start < 1.0
