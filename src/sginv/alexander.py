@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from .diagram import (Diagram, DiagramError, Partition, derive_edges,
                       require_valid, seg_to_edge_id, wirtinger_relations)
-from .laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
+from .laurent import (LaurentPoly, integer_minors_gcd, minors_gcd,
+                      reduce_unit_pivots)
 
 VAR = "t"
 
@@ -78,36 +79,40 @@ class AlexanderMatrix(NamedTuple):
         return len(self.rows[0]) if self.rows else 0
 
 
-def build_alexander_matrix(d: Diagram, weights) -> AlexanderMatrix:
+def _relation_rows(d: Diagram, weights, monomial, zero):
+    """The relation rows of a balanced weighting, each entry a sum of
+    monomial(coefficient, exponent) terms, and the arc partition."""
     (arcs, crossing_rows, vertex_rows), arc_w, residuals = \
         _weighted_relations(d, weights)
     if any(residuals.values()):
         raise WeightError(f"unbalanced weighting, residuals {residuals}")
     ncols = len(arcs) + d.free_loops
-
     rows = []
-    labels = []
-    for i, (a, b, c, _) in enumerate(crossing_rows):
-        coeffs = [LaurentPoly.zero(VAR) for _ in range(ncols)]
-        coeffs[a] = coeffs[a] - 1
-        coeffs[b] = coeffs[b] + (LaurentPoly.constant(1, VAR)
-                                 - LaurentPoly.monomial(1, arc_w[a], VAR))
-        coeffs[c] = coeffs[c] + LaurentPoly.monomial(1, arc_w[b], VAR)
-        rows.append(tuple(coeffs))
-        labels.append(f"crossing {i}")
-    for v, row in zip(d.vertices, vertex_rows):
-        coeffs = [LaurentPoly.zero(VAR) for _ in range(ncols)]
+    for a, b, c, _ in crossing_rows:
+        row = [zero] * ncols
+        for arc, coeff, exp in ((a, -1, 0), (b, 1, 0), (b, -1, arc_w[a]),
+                                (c, 1, arc_w[b])):
+            row[arc] = row[arc] + monomial(coeff, exp)
+        rows.append(row)
+    for v_row in vertex_rows:
+        row = [zero] * ncols
         prefix = 0
-        for arc, eps in row:
+        for arc, eps in v_row:
             w = arc_w[arc]
-            coeffs[arc] = coeffs[arc] + LaurentPoly.monomial(
-                eps, prefix + min(eps, 0) * w, VAR)
+            row[arc] = row[arc] + monomial(eps, prefix + min(eps, 0) * w)
             prefix += eps * w
-        rows.append(tuple(coeffs))
-        labels.append(f"vertex v{v.id}")
-    rows += [(LaurentPoly.zero(VAR),) * ncols] * d.free_loops
-    labels += [f"free loop {i + 1}" for i in range(d.free_loops)]
-    return AlexanderMatrix(tuple(rows), arcs, tuple(labels))
+        rows.append(row)
+    return rows + [[zero] * ncols for _ in range(d.free_loops)], arcs
+
+
+def build_alexander_matrix(d: Diagram, weights) -> AlexanderMatrix:
+    rows, arcs = _relation_rows(
+        d, weights, lambda coeff, exp: LaurentPoly.monomial(coeff, exp, VAR),
+        LaurentPoly.zero(VAR))
+    labels = ([f"crossing {i}" for i in range(len(d.crossings))]
+              + [f"vertex v{v.id}" for v in d.vertices]
+              + [f"free loop {i + 1}" for i in range(d.free_loops)])
+    return AlexanderMatrix(tuple(map(tuple, rows)), arcs, tuple(labels))
 
 
 def gcd_of_minors(rows, k) -> LaurentPoly:
@@ -127,22 +132,19 @@ def gcd_of_minors(rows, k) -> LaurentPoly:
     return minors_gcd(core, k)
 
 
-def _relation_minors(d: Diagram, weights):
-    """The Alexander matrix rows and the minor size r - 1 of both invariants
-    (no rows and size 0 when there are no relations)."""
-    m = build_alexander_matrix(d, weights)
-    r, s = m.row_count, m.col_count
-    if r == 0:
-        return (), 0
+def _minor_size(r, s):
+    """The minor size r - 1 of both invariants for r relations in s arcs (0
+    when there are no relations)."""
     if r - 1 > s:
         raise DiagramError(f"degenerate input: {r} relations but only {s} arcs")
-    return m.rows, r - 1
+    return max(r - 1, 0)
 
 
 def alexander_polynomial(d: Diagram, weights) -> LaurentPoly:
     """GCD of the (r-1) x (r-1) minors, canonicalized so the lowest term is
     a positive constant.  weights=None puts weight 1 on every edge."""
-    g = gcd_of_minors(*_relation_minors(d, weights))
+    m = build_alexander_matrix(d, weights)
+    g = gcd_of_minors(m.rows, _minor_size(m.row_count, m.col_count))
     return g if g.is_zero() else g.normalize_units()
 
 
@@ -174,14 +176,13 @@ def _int_det(m):
 
 
 def graph_determinant(d: Diagram, weights) -> int:
-    """GCD of the absolute (r-1)-minors of the matrix at t = -1: integer
-    unit pivots first, then the core's minors through minors_gcd.
-    weights=None puts weight 1 on every edge."""
-    rows, k = _relation_minors(d, weights)
-    core, k = reduce_unit_pivots([[e.subs_int(-1) for e in row]
-                                  for row in rows], k)
-    return minors_gcd([[LaurentPoly.constant(e, VAR) for e in row]
-                       for row in core], k).coeff(0)
+    """GCD of the absolute (r-1)-minors of the matrix at t = -1, built over
+    Z: t^m is -1 or 1 by the parity of m.  weights=None puts weight 1 on
+    every edge."""
+    rows, arcs = _relation_rows(
+        d, weights, lambda coeff, exp: -coeff if exp % 2 else coeff, 0)
+    return integer_minors_gcd(
+        rows, _minor_size(len(rows), len(arcs) + d.free_loops))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .constituents import (constituent_families, conway_gordon_sum,
 from .diagram import (DiagramError, derive_edges, parse_document,
                       seg_to_edge_id, validate)
 from .quandle import (FiniteQuandle, QuandleError, count_colorings,
-                      dihedral_quandle, is_p_colorable, is_prime,
-                      trivial_quandle, verify_quandle)
+                      count_dihedral_colorings, count_trivial_colorings,
+                      is_p_colorable, is_prime, verify_quandle)
 from .yamada import yamada_normalized, yamada_raw
 
 # free loops are read as kinked unknots, one more arc each
@@ -85,13 +85,9 @@ def _parse_weight_flags(pairs):
     return out
 
 
-def _quandle_from_args(args):
-    if args.dihedral is not None:
-        return dihedral_quandle(args.dihedral)
-    if args.trivial is not None:
-        return trivial_quandle(args.trivial)
+def _read_quandle(path):
     try:
-        doc = json.loads(_read(args.quandle))
+        doc = json.loads(_read(path))
         n, op = doc["n"], doc["op"]
         # JSON gives plain lists and ints; `type` tells true from 1
         if not (type(n) is int and len(op) == n and all(
@@ -99,11 +95,11 @@ def _quandle_from_args(args):
                 and all(type(x) is int for x in row) for row in op)):
             raise ValueError("expected n rows of n integers")
     except (KeyError, TypeError, ValueError) as exc:   # JSONDecodeError too
-        raise CliError(2, f"{args.quandle}: bad quandle table: {exc}") from None
+        raise CliError(2, f"{path}: bad quandle table: {exc}") from None
     bad = verify_quandle(op)
     if bad:
         axiom, witness = bad[0]
-        raise CliError(2, f"{args.quandle}: axiom {axiom} fails at {witness}")
+        raise CliError(2, f"{path}: axiom {axiom} fails at {witness}")
     return FiniteQuandle.from_op(op)
 
 
@@ -144,7 +140,12 @@ def _cmd_determinant(args):
 
 def _cmd_colorings(args):
     d, _ = _load(args)
-    count = count_colorings(d, _quandle_from_args(args))
+    if args.dihedral is not None:
+        count = count_dihedral_colorings(d, args.dihedral)
+    elif args.trivial is not None:
+        count = count_trivial_colorings(d, args.trivial)
+    else:
+        count = count_colorings(d, _read_quandle(args.quandle))
     _emit(args, {"colorings": count}, str(count))
     return 0
 
@@ -207,14 +208,21 @@ def _cmd_cg(args):
 
 # -- parser -----------------------------------------------------------------
 
-def _prime(text):
-    try:
-        p = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not is_prime(p):
-        raise argparse.ArgumentTypeError(f"{p} is not prime")
-    return p
+def _int_flag(ok, message):
+    """An argparse type: an integer n with ok(n), else message.format(n)."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not ok(n):
+            raise argparse.ArgumentTypeError(message.format(n))
+        return n
+    return parse
+
+
+_prime = _int_flag(is_prime, "{} is not prime")
+_order = _int_flag(lambda n: n >= 1, "order must be >= 1, got {}")
 
 
 def build_parser():
@@ -247,9 +255,9 @@ def build_parser():
     p = sub.add_parser("colorings", parents=[common],
                        help="count quandle colorings")
     pick = p.add_mutually_exclusive_group(required=True)
-    pick.add_argument("--dihedral", type=int, metavar="N",
+    pick.add_argument("--dihedral", type=_order, metavar="N",
                       help="dihedral quandle R_N")
-    pick.add_argument("--trivial", type=int, metavar="N",
+    pick.add_argument("--trivial", type=_order, metavar="N",
                       help="trivial quandle of order N")
     pick.add_argument("--quandle", metavar="TABLE.json",
                       help='explicit table {"n": ..., "op": [[...]]}')

@@ -8,8 +8,11 @@ only on its cycle family, the edges on the cycles its chosen slots close
 (every choice also keeps the vertex-free components), so
 `constituent_families` extracts and fingerprints each family once: K5's
 7,776 choices close 38 families.  `enumerate_constituents` extracts every
-choice and is the per-choice reference.  Hamiltonian-cycle members feed the
-Conway-Gordon mod-2 Arf sum.
+choice and is the per-choice reference.  `conway_gordon_sum` adds the Arf
+invariants of the Hamiltonian-cycle members mod 2, each from the
+determinant of the cycle's Fox matrix, built on the diagram's own segments
+without extracting the knot; `hamiltonian_constituents` extracts the same
+members and is its reference.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from math import prod
 from typing import NamedTuple
 
 from .alexander import alexander_polynomial, graph_determinant
-from .diagram import Diagram, DiagramError, derive_edges, rejoin, require_valid
+from .diagram import (Diagram, DiagramError, UnionFind, derive_edges, rejoin,
+                      require_valid)
+from .laurent import integer_minors_gcd
 from .yamada import yamada_raw
 
 # Refusal bound for vertex_choices: the number of vertex choices, each one
@@ -50,15 +55,16 @@ def _choice_space(d: Diagram):
 
 
 def _edge_ends(d: Diagram):
-    """(ends, closed): per edge touching a vertex, its two (vertex id, slot)
-    ends; and the number of closed components without vertices, the
-    vertex-free edge classes plus the free loops."""
+    """(edges, ends, closed): the edge partition; per edge touching a
+    vertex, its two (vertex id, slot) ends; and the number of closed
+    components without vertices, the vertex-free edge classes plus the free
+    loops."""
     part = derive_edges(d)
     ends = {}
     for v in sorted(d.vertices, key=lambda v: v.id):
         for slot, (seg, _) in enumerate(v.incident):
             ends.setdefault(part.index_of(seg), []).append((v.id, slot))
-    return ends, sum(part.is_closed) + d.free_loops
+    return part, ends, sum(part.is_closed) + d.free_loops
 
 
 def _extract(d: Diagram, choice) -> ConstituentLink:
@@ -146,7 +152,7 @@ def constituent_families(d: Diagram, inv: str):
     every later choice of the family yields the same pair."""
     choices = vertex_choices(d)
     mate = {}
-    for edge, (a, b) in _edge_ends(d)[0].items():
+    for edge, (a, b) in _edge_ends(d)[1].items():
         mate[a], mate[b] = (edge, b), (edge, a)
     memo = {}
     for choice in choices:
@@ -166,6 +172,38 @@ def constituent_fingerprint(d: Diagram, inv: str):
                   if components)
 
 
+def _hamiltonian_cycles(ends):
+    """The Hamiltonian cycles of the underlying multigraph, each once as the
+    frozenset of its edges, in order of their sorted edge lists.  `ends`
+    maps each edge to its two (vertex id, slot) ends.  The search runs on an
+    explicit stack."""
+    vids = sorted({vid for pair in ends.values() for vid, _ in pair})
+    incident = {vid: [] for vid in vids}
+    for ei, ((u, _), (w, _)) in ends.items():
+        incident[u].append(ei)
+        if w != u:
+            incident[w].append(ei)
+    cycles = set()
+    start = vids[0]
+    stack = [(start, frozenset([start]), frozenset())]
+    while stack:
+        vertex, visited, used = stack.pop()
+        for ei in incident[vertex]:
+            (u, _), (v, _) = ends[ei]
+            if u == v:    # a loop is a cycle only through a lone vertex
+                if len(vids) == 1:
+                    cycles.add(frozenset([ei]))
+                continue
+            if ei in used:
+                continue
+            nxt = v if u == vertex else u
+            if nxt == start and len(visited) == len(vids):
+                cycles.add(used | {ei})
+            elif nxt not in visited:
+                stack.append((nxt, visited | {nxt}, used | {ei}))
+    return sorted(cycles, key=sorted)
+
+
 def hamiltonian_constituents(d: Diagram):
     """Members of T(G) that are single closed components through every
     vertex, i.e. the Hamiltonian cycles of the underlying graph.
@@ -177,43 +215,14 @@ def hamiltonian_constituents(d: Diagram):
     makes every member a split link, so then there are none.
     """
     require_valid(d)
-    ends, closed = _edge_ends(d)
+    _, ends, closed = _edge_ends(d)
     if not d.vertices:
         return [_extract(d, ())] if closed == 1 else []
     if closed:
         return []
-
     vids = sorted(v.id for v in d.vertices)
-    incident = {vid: [] for vid in vids}
-    for ei, ((u, _), (w, _)) in ends.items():
-        incident[u].append(ei)
-        if w != u:
-            incident[w].append(ei)
-
-    cycles = set()
-    n = len(vids)
-    start = vids[0]
-    if n == 1:
-        for ei in incident[start]:
-            cycles.add(frozenset([ei]))
-    else:
-        stack = [(start, frozenset([start]), frozenset())]
-        while stack:
-            vertex, visited, used = stack.pop()
-            for ei in incident[vertex]:
-                if ei in used:
-                    continue
-                (u, _), (v, _) = ends[ei]
-                if u == v:
-                    continue
-                nxt = v if u == vertex else u
-                if nxt == start and len(visited) == n:
-                    cycles.add(used | {ei})
-                elif nxt not in visited:
-                    stack.append((nxt, visited | {nxt}, used | {ei}))
-
     out = []
-    for cycle in sorted(cycles, key=sorted):
+    for cycle in _hamiltonian_cycles(ends):
         slots = {}
         for ei in cycle:
             for vid, slot in ends[ei]:
@@ -233,17 +242,46 @@ def arf_from_determinant(det: int) -> int:
     return 0 if det % 8 in (1, 7) else 1
 
 
+def _cycle_determinant(d: Diagram, edge_of, on):
+    """The determinant of the knot on the edges `on` of d, from its Fox
+    matrix on d's segments: arcs merge across the over level of a kept
+    crossing (both levels on), the level passing a spliced one (one level
+    on) and the knot's two slots at each vertex.  A kept crossing's row
+    -a + 2b - c is symmetric in a and c, so orientation does not matter."""
+    uf = UnionFind([s for s, e in edge_of.items() if e in on])
+    kept = []
+    for c in d.crossings:
+        over, under = edge_of[c.over_in] in on, edge_of[c.under_in] in on
+        if over or under:
+            level = "over" if over else "under"
+            uf.union(getattr(c, level + "_in"), getattr(c, level + "_out"))
+        if over and under:
+            kept.append(c)
+    for v in d.vertices:
+        s1, s2 = [s for s, _ in v.incident if edge_of[s] in on]
+        uf.union(s1, s2)
+    arc = {}
+    triples = [[arc.setdefault(uf.find(s), len(arc))
+                for s in (c.under_in, c.over_in, c.under_out)] for c in kept]
+    fox = [[2 * (x == b) - (x == a) - (x == c) for x in range(len(arc))]
+           for a, b, c in triples]
+    return integer_minors_gcd(fox, max(len(fox) - 1, 0))
+
+
 def conway_gordon_sum(d: Diagram) -> int:
-    """Sum of Arf invariants over Hamiltonian-cycle constituents, mod 2."""
-    hams = hamiltonian_constituents(d)
-    if not hams:
-        closed = _edge_ends(d)[1]
+    """Sum of Arf invariants over Hamiltonian-cycle constituents, mod 2,
+    each from the determinant of the cycle's Fox matrix."""
+    require_valid(d)
+    part, ends, closed = _edge_ends(d)
+    if d.vertices:
+        cycles = [] if closed else _hamiltonian_cycles(ends)
+    else:
+        cycles = [frozenset(range(len(part)))] if closed == 1 else []
+    if not cycles:
         if closed:
             raise DiagramError(f"diagram has closed components without "
                                f"vertices ({closed}), so no constituent is "
                                f"a single Hamiltonian cycle")
         raise DiagramError("underlying graph has no Hamiltonian cycle")
-    total = 0
-    for link in hams:
-        total += arf_from_determinant(graph_determinant(link.diagram, None))
-    return total % 2
+    return sum(arf_from_determinant(_cycle_determinant(d, part.class_of, on))
+               for on in cycles) % 2

@@ -1,8 +1,8 @@
 """Reidemeister move generators and diagram surgery helpers.
 
 Moves I and II are programmatic (the property suites exercise them on random
-segments); moves III-V are covered by fixture pairs in the tests, not by
-generators here.
+segments).  There is no generator for moves III-V, and no test exercises
+them yet.
 """
 
 from __future__ import annotations

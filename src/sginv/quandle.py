@@ -6,14 +6,21 @@ assign quandle elements to the arcs of a diagram subject to the relations of
 `diagram.wirtinger_relations`: a >^s b = c at each crossing row
 (a, b, c, s), and at each vertex row the composite translation by its arc
 colors, with its signs eps, fixes the color of every arc of the diagram.
+
+`count_colorings` searches for the colorings by any finite quandle table.
+The dihedral quandle R_n is linear, so `count_dihedral_colorings` counts
+its colorings as the kernel of the integer Fox coloring matrix mod n, and
+the trivial quandle's count is a power of n (`count_trivial_colorings`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import gcd
 from typing import NamedTuple
 
-from .diagram import Diagram, require_valid, wirtinger_relations
+from .diagram import Diagram, derive_edges, require_valid, wirtinger_relations
+from .laurent import reduce_unit_pivots
 
 
 class QuandleError(ValueError):
@@ -183,6 +190,68 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
     return total
 
 
+def count_dihedral_colorings(d: Diagram, n: int) -> int:
+    """count_colorings(d, R_n) by linear algebra.  x > y = 2y - x, so a
+    crossing asks 2b - a - c = 0 mod n.  At a vertex with arcs a_1, a_2, ...
+    the composite translation takes x to x + 2D, D = -a_1 + a_2 - ..., at
+    even degree, and to 2S - x, S = a_1 - a_2 + ..., at odd degree: it fixes
+    every color when 2D = 0, and a color x only when 2x = 2S.  So an odd
+    vertex asks 2(a - a_0) = 0 for every arc a and 2(a_0 - S) = 0, and leaves
+    a free loop gcd(2, n) colors (n without odd vertices).  The count is the
+    kernel mod n of these rows: unit pivots drop one arc each, then the
+    core's kernel is counted mod each prime power of n."""
+    require_valid(d)
+    if n < 1:
+        raise QuandleError("order must be >= 1")
+    arcs, crossing_rows, vertex_rows = wirtinger_relations(d)
+    rows = [[0] * len(arcs) for _ in crossing_rows + vertex_rows]
+    for row, (a, b, c, _) in zip(rows, crossing_rows):
+        row[a] -= 1
+        row[b] += 2
+        row[c] -= 1
+    odd = any(len(v_row) % 2 for v_row in vertex_rows)
+    for row, v_row in zip(rows[len(crossing_rows):], vertex_rows):
+        for i, (arc, _) in enumerate(v_row):
+            row[arc] += 2 if i % 2 else -2
+        if len(v_row) % 2:
+            row[0] += 2
+    for a in range(1, len(arcs) if odd else 0):
+        rows.append([-2] + [0] * (len(arcs) - 1))
+        rows[-1][a] += 2
+    k = min(len(rows), len(arcs))
+    core, left = reduce_unit_pivots(rows, k)
+    count, p = (gcd(2, n) if odd else n) ** d.free_loops, 2
+    while n > 1:    # trial division into prime powers q
+        p = p if p * p <= n else n
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            count *= _kernel_size(core, len(arcs) - k + left, q)
+        p += 1
+    return count
+
+
+def _kernel_size(rows, cols, q):
+    """How many x in (Z/q)^cols have rows x = 0 mod q, for a prime power q:
+    pivot on an entry of least gcd g with q, which divides every other
+    entry, so its variable has g solutions; columns left at zero are free."""
+    m = [[x % q for x in row] for row in rows]
+    count = 1
+    while any(map(any, m)):
+        g, i, j = min((gcd(x, q), i, j) for i, row in enumerate(m)
+                      for j, x in enumerate(row) if x)
+        prow = m.pop(i)
+        inv = pow(prow[j] // g, -1, q)
+        for row in m:
+            f = row[j] // g * inv
+            row[:] = [(x - f * y) % q for x, y in zip(row, prow)]
+            del row[j]
+        count *= g
+        cols -= 1
+    return count * q ** cols
+
+
 def is_prime(p):
     """True when p is prime (trial division)."""
     if p < 2:
@@ -195,31 +264,18 @@ def is_prime(p):
     return True
 
 
-def count_constant_colorings(d: Diagram, X: FiniteQuandle) -> int:
-    """How many single-color assignments satisfy all relations (crossing
-    relations hold by idempotence; only the vertex condition can fail)."""
+def count_trivial_colorings(d: Diagram, n: int) -> int:
+    """Colorings by the trivial quandle of order n: under arcs agree at each
+    crossing, so each edge and each free loop takes any one color."""
     require_valid(d)
-    arcs, _, vertex_rows = wirtinger_relations(d)
-    if len(arcs) == 0:
-        return X.n if d.free_loops else 1
-    count = 0
-    for col in range(X.n):
-        ok = True
-        for row in vertex_rows:
-            x = col
-            for _, eps in row:
-                x = X.apply(x, col, eps)
-            if x != col:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    if n < 1:
+        raise QuandleError("order must be >= 1")
+    return n ** (len(derive_edges(d)) + d.free_loops)
 
 
 def is_p_colorable(d: Diagram, p: int) -> bool:
-    """True when a non-constant dihedral-p coloring exists."""
+    """True when a non-constant dihedral-p coloring exists (a nonempty
+    diagram has p constant ones, the empty diagram one coloring)."""
     if not is_prime(p):
         raise QuandleError(f"{p} is not prime")
-    X = dihedral_quandle(p)
-    return count_colorings(d, X) > count_constant_colorings(d, X)
+    return count_dihedral_colorings(d, p) > p

@@ -219,6 +219,16 @@ def _unpack(packed, c, bits):
     return total
 
 
+def _sigma_power(k):
+    """sigma^k = A^-k f, f = (1 + A + A^2)^k, as an exponent -> coefficient
+    dict.  (1 + A + A^2) f' = k (1 + 2A) f gives f's coefficients a_j by
+    j a_j = (k - j + 1) a_(j-1) + (2k - j + 2) a_(j-2)."""
+    row = [0, 1]
+    for j in range(1, 2 * k + 1):
+        row.append(((k - j + 1) * row[-1] + (2 * k - j + 2) * row[-2]) // j)
+    return {j - k: a for j, a in enumerate(row[1:])}
+
+
 def yamada_raw(d: Diagram) -> LaurentPoly:
     """R(G) by the frontier transfer matrix over the diagram's tiles."""
     require_valid(d)
@@ -259,9 +269,7 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
                 states = _close(states, i, j, bits * (2 * c + 1))
                 del frontier[j], frontier[i]
     total = _unpack(states.get((), 0), c, bits)
-    for _ in range(d.free_loops):
-        total = _times(total, {-1: 1, 0: 1, 1: 1})
-    return LaurentPoly(total, VAR)
+    return LaurentPoly(_times(total, _sigma_power(d.free_loops)), VAR)
 
 
 class YamadaResult(NamedTuple):

@@ -2,7 +2,8 @@
 diagram canonicalization and edge labels, balanced theta weights, the
 explicit 9x10 relation matrix, random polynomial generation (seeded; every
 test run is deterministic), and the Laurent divisibility, cofactor
-determinant and flat Yamada state-sum oracles.
+determinant, Laurent-route graph determinant, constant-coloring and flat
+Yamada state-sum oracles.
 """
 
 import os
@@ -10,10 +11,12 @@ import random
 from itertools import product
 
 from sginv import catalog
-from sginv.alexander import check_balanced
-from sginv.diagram import Diagram, Partition, parse_diagram, serialize
+from sginv.alexander import build_alexander_matrix, check_balanced
+from sginv.diagram import (Diagram, DiagramError, Partition, parse_diagram,
+                           require_valid, serialize, wirtinger_relations)
 from sginv.graphs import to_abstract_graph
-from sginv.laurent import LaurentPoly, _poly_div_exact, _to_dense
+from sginv.laurent import (LaurentPoly, _poly_div_exact, _to_dense, minors_gcd,
+                           reduce_unit_pivots)
 from sginv.yamada import VAR, eval_crossing_free
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -138,6 +141,44 @@ def cofactor_det(matrix):
         term = matrix[0][j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def laurent_determinant(d: Diagram, weights):
+    """The graph determinant through the Alexander matrix: every Laurent
+    entry evaluated at t = -1, then integer unit pivots and the core's
+    minors through minors_gcd."""
+    m = build_alexander_matrix(d, weights)
+    r, s = m.row_count, m.col_count
+    if r == 0:
+        return 1
+    if r - 1 > s:
+        raise DiagramError(f"degenerate input: {r} relations but only {s} arcs")
+    core, k = reduce_unit_pivots([[e.subs_int(-1) for e in row]
+                                  for row in m.rows], r - 1)
+    return minors_gcd([[LaurentPoly.constant(e) for e in row]
+                       for row in core], k).coeff(0)
+
+
+def count_constant_colorings(d: Diagram, X):
+    """How many single-color assignments satisfy all relations (crossing
+    relations hold by idempotence; only the vertex condition can fail)."""
+    require_valid(d)
+    arcs, _, vertex_rows = wirtinger_relations(d)
+    if len(arcs) == 0:
+        return X.n if d.free_loops else 1
+    count = 0
+    for col in range(X.n):
+        ok = True
+        for row in vertex_rows:
+            x = col
+            for _, eps in row:
+                x = X.apply(x, col, eps)
+            if x != col:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
 
 
 def flat_yamada(d: Diagram):

@@ -1,6 +1,8 @@
 """Weighted Alexander polynomial: explicit matrix oracle, classical knot
-values, balance checking, invariance properties, and Wirtinger output."""
+values, balance checking, invariance properties, the integer determinant
+rows against the Laurent route, and Wirtinger output."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,14 @@ from sginv.alexander import (WeightError, alexander_polynomial,
                              build_alexander_matrix, check_balanced,
                              gcd_of_minors, graph_determinant,
                              uniform_weights, wirtinger_presentation)
-from sginv.diagram import Diagram, VertexNode, derive_arcs
+from sginv.diagram import (Diagram, DiagramError, VertexNode, derive_arcs,
+                           parse_document)
 from sginv.laurent import LaurentPoly
 from sginv.moves import (R2_VARIANTS, apply_r1_traced, apply_r2_traced,
                          transport_weights)
 
-from helpers import (balanced_theta_weights, knot_corpus, nine_by_ten_matrix,
-                     small_corpus)
+from helpers import (balanced_theta_weights, knot_corpus, laurent_determinant,
+                     nine_by_ten_matrix, read_fixture, small_corpus)
 
 
 def L(pairs):
@@ -56,6 +59,55 @@ def test_determinants():
         assert graph_determinant(d, None) == expected[name]
 
 
+def determinant_outcome(determinant, d, weights):
+    try:
+        return determinant(d, weights)
+    except (WeightError, DiagramError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_integer_rows_match_laurent_route(d, weights, label):
+    assert determinant_outcome(graph_determinant, d, weights) == \
+        determinant_outcome(laurent_determinant, d, weights), label
+
+
+@pytest.mark.parametrize("name", (
+    "closure3x18", "figure_eight", "k7", "kink_neg", "kink_pos", "knot_5_2",
+    "theta_5_3", "theta_5_4", "theta_trivial", "theta_weighted", "torus_2_5",
+    "trefoil", "unknot"))
+def test_integer_rows_match_laurent_route_on_fixtures(name):
+    """With the file's weights, weight 1 everywhere (unbalanced at most
+    vertices: both refuse alike) and, on the thetas, a balanced weighting."""
+    d, weights = parse_document(read_fixture(f"{name}.json"))
+    candidates = [weights, None]
+    if len(d.vertices) == 2:
+        candidates.append(balanced_theta_weights(d))
+    for w in candidates:
+        assert_integer_rows_match_laurent_route(d, w, (name, w))
+
+
+def test_integer_rows_match_laurent_route_after_r2_moves():
+    """The weighted theta (e3 = -2) with 0-7 seeded R2 moves, its weights
+    carried along."""
+    rng = random.Random(808)
+    d, weights = parse_document(read_fixture("theta_weighted.json"))
+    for moves in range(8):
+        assert_integer_rows_match_laurent_route(d, weights, moves)
+        s1, s2 = rng.sample(sorted(d.segment_ids()), 2)
+        d2, prov = apply_r2_traced(d, s1, s2, rng.choice(R2_VARIANTS))
+        d, weights = d2, transport_weights(d, weights, d2, prov)
+
+
+def test_integer_rows_match_laurent_route_on_closures():
+    rng = random.Random(404)
+    for strands, length in ((2, 9), (3, 14), (3, 40), (4, 18), (4, 60)):
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(length)]
+        d = catalog.braid_closure(strands, word)
+        for w in (None, uniform_weights(d, 2), uniform_weights(d, 3)):
+            assert_integer_rows_match_laurent_route(d, w, (strands, word, w))
+
+
 def test_theta_balance():
     th = catalog.theta_trivial()
     ok, residuals = check_balanced(th, uniform_weights(th))
@@ -92,6 +144,19 @@ def test_crossing_rows_take_under_and_over_weights():
     m = build_alexander_matrix(hopf, {"e1": 1, "e2": 2})
     assert m.rows == ((L({0: 1, 2: -1}), L({0: -1, 1: 1})),
                       (L({0: -1, 2: 1}), L({0: 1, 1: -1})))
+
+
+def test_vertex_rows_take_prefix_exponents():
+    """The weighted theta (e1 = e2 = 1, e3 = -2): the vertex entry of arc i
+    is eps_i t^(m_i), m_i the signed weight sum of the arcs before it plus
+    min(eps_i, 0) w_i; at t = -1 both determinant routes read the same
+    rows."""
+    th = catalog.theta_trivial()
+    weights = {"e1": 1, "e2": 1, "e3": -2}
+    m = build_alexander_matrix(th, weights)
+    assert m.rows == ((L({-1: -1}), L({-2: -1}), L({0: -1})),
+                      (L({0: 1}), L({-1: 1}), L({1: 1})))
+    assert graph_determinant(th, weights) == laurent_determinant(th, weights)
 
 
 def rotate_vertex(d, vid, k):

@@ -248,6 +248,30 @@ def test_colorings():
     assert run_cli("colorings", fixture_path("trefoil.json")).returncode == 2
 
 
+def test_large_orders_in_closed_form():
+    """R_1000 and the trivial quandle of order 1000 are counted without a
+    table: the trefoil has 1000 colorings by each (det 3 is prime to 1000,
+    and the trefoil is one edge)."""
+    for flag in ("--dihedral", "--trivial"):
+        r = run_cli("colorings", fixture_path("trefoil.json"), flag, "1000",
+                    timeout=10)
+        assert r.returncode == 0 and r.stdout == b"1000\n", flag
+
+
+def test_k5_dihedral_five_colorings():
+    r = run_cli("colorings", fixture_path("k5.json"), "--dihedral", "5",
+                timeout=10)
+    assert r.returncode == 0 and r.stdout == b"15625\n"
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--dihedral", "--trivial"])
+def test_bad_quandle_order_is_an_input_error(flag, order):
+    r = run_cli("colorings", fixture_path("trefoil.json"), flag, order)
+    assert r.returncode == 2 and r.stdout == b""
+    assert b"order must be >= 1, got " + order.encode() in r.stderr
+
+
 @pytest.mark.parametrize("table", [
     '{"n": 1, "op": [["a"]]}', '{"n": 2, "op": [[0, 0.5], [1, 1]]}',
     '{"n": 1, "op": [[null]]}', '{"n": 2, "op": [[0, 1], [1]]}',

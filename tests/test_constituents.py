@@ -10,13 +10,16 @@ from math import comb, prod
 import pytest
 
 from sginv import catalog, cli, constituents
-from sginv.constituents import (_choice_space, _extract, _fingerprint_value,
+from sginv.alexander import graph_determinant
+from sginv.constituents import (_choice_space, _cycle_determinant, _edge_ends,
+                                _extract, _fingerprint_value,
+                                _hamiltonian_cycles,
                                 arf_from_determinant, constituent_families,
                                 constituent_fingerprint, conway_gordon_sum,
                                 enumerate_constituents,
                                 hamiltonian_constituents)
-from sginv.diagram import (Crossing, Diagram, DiagramError, derive_edges,
-                           serialize, validate)
+from sginv.diagram import (Crossing, Diagram, DiagramError, VertexNode,
+                           derive_edges, serialize, validate)
 from sginv.moves import R2_VARIANTS, apply_r2, disjoint_union
 from sginv.yamada import sigma
 
@@ -267,3 +270,51 @@ def test_k7_straight_line_embedding():
     hams = hamiltonian_constituents(d)
     assert len(hams) == 360  # 6!/2 Hamiltonian cycles of K7
     assert conway_gordon_sum(d) == 1
+
+
+def r2_variant(d, seed, moves):
+    rng = random.Random(seed)
+    for _ in range(moves):
+        s1, s2 = rng.sample(sorted(d.segment_ids()), 2)
+        d = apply_r2(d, s1, s2, rng.choice(R2_VARIANTS))
+    return d
+
+
+FOX_CASES = [
+    (f"K{n}{'+R2' * moves}", r2_variant(catalog.complete_graph_moment_curve(n),
+                                       n, moves))
+    for n in (5, 6, 7) for moves in (0, 1, 2)] + [
+    ("theta_5_3", catalog.theta_5_3()), ("theta_5_4", catalog.theta_5_4()),
+    ("K4+3R2", r2_variant(catalog.complete_graph_moment_curve(4), 4, 3)),
+    # one vertex, two loops through one crossing: each cycle splices it
+    ("bouquet", Diagram((VertexNode(0, ((0, "out"), (1, "in"), (2, "out"),
+                                        (3, "in"))),),
+                        (Crossing(0, 1, 2, 3, 1),), 0))]
+
+
+@pytest.mark.parametrize("name, d", FOX_CASES,
+                         ids=[name for name, _ in FOX_CASES])
+def test_fox_cycle_determinants_match_extraction(name, d):
+    """Each Hamiltonian cycle's determinant from its Fox matrix on the
+    diagram's own segments equals the determinant of its extracted link,
+    in the same cycle order, and the Arf sum follows."""
+    part, ends, _ = _edge_ends(d)
+    fox = [_cycle_determinant(d, part.class_of, on)
+           for on in _hamiltonian_cycles(ends)]
+    extracted = [graph_determinant(link.diagram, None)
+                 for link in hamiltonian_constituents(d)]
+    assert fox == extracted and fox, name
+    assert conway_gordon_sum(d) == \
+        sum(map(arf_from_determinant, extracted)) % 2, name
+
+
+def test_conway_gordon_on_vertex_free_diagrams():
+    """Without vertices the one closed component is the only cycle."""
+    for d in (catalog.trefoil(), catalog.figure_eight(), catalog.knot_5_2(),
+              catalog.unknot(), catalog.kinked_unknot(-1)):
+        (link,) = hamiltonian_constituents(d)
+        assert conway_gordon_sum(d) == \
+            arf_from_determinant(graph_determinant(link.diagram, None))
+    for d in (catalog.braid_closure(2, [1, 1]), Diagram()):
+        with pytest.raises(DiagramError):
+            conway_gordon_sum(d)

@@ -1,5 +1,6 @@
 """Finite quandles and coloring counts: axioms, an exhaustive Fox-coloring
-oracle, move invariance, and constant-coloring behavior."""
+oracle, move invariance, constant-coloring behavior, and the linear dihedral
+and closed-form trivial counts against the search."""
 
 import random
 from itertools import product
@@ -7,14 +8,14 @@ from itertools import product
 import pytest
 
 from sginv import catalog
-from sginv.diagram import derive_arcs
-from sginv.moves import R2_VARIANTS, apply_r1, apply_r2
-from sginv.quandle import (FiniteQuandle, QuandleError,
-                           count_colorings, count_constant_colorings,
-                           dihedral_quandle, is_p_colorable, trivial_quandle,
-                           verify_quandle)
+from sginv.diagram import Diagram, derive_arcs, parse_document
+from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, disjoint_union
+from sginv.quandle import (FiniteQuandle, QuandleError, _kernel_size,
+                           count_colorings, count_dihedral_colorings,
+                           count_trivial_colorings, dihedral_quandle,
+                           is_p_colorable, trivial_quandle, verify_quandle)
 
-from helpers import small_corpus
+from helpers import count_constant_colorings, read_fixture, small_corpus
 
 
 def test_builtin_families_satisfy_axioms():
@@ -135,3 +136,128 @@ def test_p_colorability():
     assert not is_p_colorable(catalog.unknot(), 3)
     with pytest.raises(QuandleError):
         is_p_colorable(catalog.trefoil(), 4)
+
+
+# every diagram fixture but k7, whose search is out of reach
+FIXTURES = ("closure3x18", "figure_eight", "kink_neg", "kink_pos", "knot_5_2",
+            "theta_5_3", "theta_5_4", "theta_trivial", "theta_weighted",
+            "torus_2_5", "trefoil", "unknot")
+
+
+def fixture_diagrams():
+    return {name: parse_document(read_fixture(f"{name}.json"))[0]
+            for name in FIXTURES}
+
+
+def seeded_moves(rng, d, count):
+    for _ in range(count):
+        segs = sorted(d.segment_ids())
+        if rng.random() < 0.5:
+            d = apply_r1(d, rng.choice(segs), rng.choice((1, -1)))
+        else:
+            s1, s2 = rng.sample(segs, 2)
+            d = apply_r2(d, s1, s2, rng.choice(R2_VARIANTS))
+    return d
+
+
+def assert_dihedral_matches_search(d, orders, label):
+    for n in orders:
+        assert count_dihedral_colorings(d, n) == \
+            count_colorings(d, dihedral_quandle(n)), (label, n)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_dihedral_count_matches_search_on_fixtures(name):
+    assert_dihedral_matches_search(fixture_diagrams()[name], range(1, 10),
+                                   name)
+
+
+def test_dihedral_count_matches_search_after_moves():
+    """K4 and the thetas have degree-3 vertices: odd n gives the n constant
+    colorings, even n more.  K4's search grows fast with n."""
+    rng = random.Random(4242)
+    for name, d, orders in (
+            ("K4", catalog.complete_graph_moment_curve(4), range(1, 5)),
+            ("theta_5_4", catalog.theta_5_4(), range(1, 10)),
+            ("theta_5_3", catalog.theta_5_3(), range(1, 10)),
+            ("theta_trivial", catalog.theta_trivial(), range(1, 10))):
+        for trial in range(3):
+            assert_dihedral_matches_search(seeded_moves(rng, d, trial + 1),
+                                           orders, (name, trial))
+
+
+def test_dihedral_count_matches_search_with_free_loops():
+    tre, th54 = catalog.trefoil(), catalog.theta_5_4()
+    k4 = catalog.complete_graph_moment_curve(4)
+    for label, d, top in (
+            ("loops", Diagram(free_loops=3), 9),
+            ("trefoil", Diagram((), tre.crossings, 2), 9),
+            ("theta", Diagram(th54.vertices, th54.crossings, 1), 9),
+            ("k4", Diagram(k4.vertices, k4.crossings, 1), 4),
+            ("trefoil+theta", disjoint_union(tre, catalog.theta_trivial()), 9),
+            ("empty", Diagram(), 9)):
+        assert_dihedral_matches_search(d, range(1, top + 1), label)
+
+
+def test_dihedral_count_matches_search_on_long_closures():
+    """Seeded 3- and 4-strand closures of 40-100 crossings, at the orders
+    whose search stays under about a second."""
+    rng = random.Random(77)
+    for strands, length, top in ((3, 40, 5), (3, 70, 5), (3, 100, 6),
+                                 (4, 40, 4), (4, 70, 3), (4, 100, 3)):
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(length)]
+        assert_dihedral_matches_search(catalog.braid_closure(strands, word),
+                                       range(1, top + 1), (strands, word))
+
+
+def test_dihedral_count_on_even_degree_graphs():
+    """K5 (degree 4) has the linear kernel 3^6 and 5^6 of fact (d)."""
+    k5 = catalog.complete_graph_moment_curve(5)
+    assert count_dihedral_colorings(k5, 3) == 3 ** 6
+    assert count_dihedral_colorings(k5, 5) == 5 ** 6
+    assert_dihedral_matches_search(k5, (1, 2, 3), "K5")
+
+
+def test_kernel_size_against_enumeration():
+    """The elimination mod p^e against counting every vector, on small
+    random integer matrices with repeated prime factors in the entries."""
+    rng = random.Random(31)
+    for trial in range(200):
+        rows, cols = rng.randrange(0, 4), rng.randrange(0, 4)
+        m = [[rng.choice((0, 0, 1, -1, 2, -2, 3, 4, 6, 8, 9, -12))
+              for _ in range(cols)] for _ in range(rows)]
+        for p, e in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1)):
+            q = p ** e
+            brute = sum(all(sum(a * x for a, x in zip(row, v)) % q == 0
+                            for row in m)
+                        for v in product(range(q), repeat=cols))
+            assert _kernel_size(m, cols, q) == brute, (trial, m, q)
+
+
+def test_trivial_count_matches_search():
+    diagrams = fixture_diagrams()
+    diagrams.update(loops=Diagram(free_loops=2), empty=Diagram(),
+                    k4=catalog.complete_graph_moment_curve(4))
+    for name, d in diagrams.items():
+        for n in (1, 2, 3):
+            assert count_trivial_colorings(d, n) == \
+                count_colorings(d, trivial_quandle(n)), (name, n)
+
+
+def test_p_colorability_matches_search():
+    diagrams = fixture_diagrams()
+    diagrams.update(loops=Diagram(free_loops=2), empty=Diagram())
+    for name, d in diagrams.items():
+        for p in (2, 3, 5, 7):
+            X = dihedral_quandle(p)
+            assert is_p_colorable(d, p) == (
+                count_colorings(d, X) > count_constant_colorings(d, X)), \
+                (name, p)
+
+
+def test_linear_counts_reject_bad_orders():
+    for count in (count_dihedral_colorings, count_trivial_colorings):
+        for n in (0, -3):
+            with pytest.raises(QuandleError):
+                count(catalog.trefoil(), n)

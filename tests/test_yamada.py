@@ -125,6 +125,18 @@ def test_base_cases():
             assert yamada_raw(bouquet_diagram(n)) == expected
 
 
+def test_free_loops_multiply_by_one_sigma_power():
+    """k free loops, alone and beside the trefoil, against k repeated
+    multiplications by sigma."""
+    tre = catalog.trefoil()
+    base = yamada_raw(tre)
+    power = ONE
+    for k in range(41):
+        assert yamada_raw(Diagram(free_loops=k)) == power, k
+        assert yamada_raw(Diagram((), tre.crossings, k)) == base * power, k
+        power = power * sigma()
+
+
 def test_theta_value():
     s = sigma()
     assert yamada_raw(catalog.theta_trivial()) == s - s * s
