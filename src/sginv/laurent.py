@@ -459,37 +459,31 @@ def reduce_unit_pivots(matrix, k):
         M'[a][b] = M[a][b] - M[a][j] u^-1 M[i][b]    (a != i, b != j),
     and the k-minor gcd of M is the (k-1)-minor gcd of M'.  Pivots on the
     first unit in row-major order until k reaches 0 or no unit is left.
-    Rows are held as dicts of their nonzero entries while pivoting.
     Returns (core, k'); k' = 0 means the gcd is 1.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if k < 0 or k > min(rows, cols):
         raise ValueError(f"minor size {k} out of range for {rows}x{cols}")
-    zero = matrix[0][0] - matrix[0][0] if cols else 0
-    m = [{j: e for j, e in enumerate(row) if e != zero} for row in matrix]
-    alive = list(range(cols))    # the columns left, in order
+    m = [list(row) for row in matrix]
     while k:
-        pivot = next(((i, j, inv) for i, row in enumerate(m) for j in sorted(row)
-                      if (inv := _unit_inverse(row[j])) is not None), None)
+        pivot = next(((i, j, inv) for i, row in enumerate(m)
+                      for j, e in enumerate(row)
+                      if (inv := _unit_inverse(e)) is not None), None)
         if pivot is None:
             break
         i, j, inv = pivot
         prow = m.pop(i)
-        del prow[j]
+        support = [(b, e) for b, e in enumerate(prow)
+                   if b != j and not _is_zero(e)]
         for row in m:
-            e = row.pop(j, None)
-            if e is not None:
-                factor = e * inv
-                for b, x in prow.items():
-                    y = row.get(b, zero) - factor * x
-                    if _is_zero(y):
-                        del row[b]
-                    else:
-                        row[b] = y
-        alive.remove(j)
+            if not _is_zero(row[j]):
+                factor = row[j] * inv
+                for b, e in support:
+                    row[b] = row[b] - factor * e
+            del row[j]
         k -= 1
-    return [[row.get(j, zero) for j in alive] for row in m], k
+    return m, k
 
 
 def integer_minors_gcd(matrix, k):

@@ -11,7 +11,8 @@ import time
 import pytest
 
 from sginv import catalog
-from sginv.diagram import Diagram, serialize
+from sginv.constituents import enumerate_constituents, hamiltonian_constituents
+from sginv.diagram import Diagram, parse_document, serialize
 from sginv.laurent import LaurentPoly
 from sginv.moves import disjoint_union
 
@@ -297,9 +298,10 @@ def test_pcolor():
 
 
 def test_colorings_long_closure(tmp_path):
-    """The coloring search runs as a loop, not one call per arc: the closure
-    of the 2-braid sigma_1^1200 has 1,200 arcs and det T(2, 1200) = 1200, so
-    p^2 dihedral-p colorings when p divides 1,200 and p otherwise."""
+    """The closure of the 2-braid sigma_1^1200 has 1,200 arcs and
+    det T(2, 1200) = 1200, so p^2 dihedral-p colorings when p divides 1,200
+    and p otherwise: the linear count reduces its 1,200 Fox rows, and the
+    search behind --quandle tables runs as a loop, not one call per arc."""
     path = tmp_path / "t2_1200.json"
     path.write_text(serialize(catalog.braid_closure(2, [1] * 1200)))
     for p, count in (("3", b"9\n"), ("5", b"25\n"), ("7", b"7\n")):
@@ -307,6 +309,12 @@ def test_colorings_long_closure(tmp_path):
         assert r.returncode == 0 and r.stdout == count, p
     r = run_cli("pcolor", str(path), "--p", "3")
     assert r.returncode == 0 and r.stdout == b"colorable\n"
+    table = tmp_path / "r3.json"
+    table.write_text(json.dumps({"n": 3, "op": [[(2 * y - x) % 3
+                                                 for y in range(3)]
+                                                for x in range(3)]}))
+    r = run_cli("colorings", str(path), "--quandle", str(table))
+    assert r.returncode == 0 and r.stdout == b"9\n"
 
 
 def test_constituents_choice_limit():
@@ -402,8 +410,10 @@ def test_cg_refuses_vertex_free_components(tmp_path):
 
 
 def test_cg_long_cycle(tmp_path):
-    """The Hamiltonian search and the extraction are iterative: a directed
-    1,200-cycle, an unknot, gives Arf sum 0 below the recursion limit."""
+    """The Hamiltonian search, the cycle's Fox matrix and the extraction
+    are iterative: a directed 1,200-cycle, an unknot, gives Arf sum 0 and
+    one constituent, a single unknot through all 1,200 vertices, below the
+    recursion limit."""
     n = 1200
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"vertices": [
@@ -411,6 +421,16 @@ def test_cg_long_cycle(tmp_path):
         for i in range(n)]}))
     r = run_cli("cg", str(path))
     assert r.returncode == 0 and r.stdout == b"0\n"
+    d, _ = parse_document(path.read_text())
+    links = enumerate_constituents(d)
+    assert links == hamiltonian_constituents(d)
+    [link] = links
+    assert link.components == 1 and link.component_vertices == (
+        frozenset(range(n)),)
+    assert link.diagram == Diagram(free_loops=1)
+    r = run_cli("constituents", str(path), "--invariant", "determinant")
+    assert r.returncode == 0 and r.stdout.endswith(
+        b'"components":1,"fingerprint":1}],"multiset":[1]}\n')
 
 
 def test_yamada_long_path(tmp_path):
