@@ -12,16 +12,7 @@ import argparse
 import json
 import sys
 
-from .alexander import (WeightError, alexander_polynomial, graph_determinant,
-                        wirtinger_presentation)
-from .constituents import (constituent_families, conway_gordon_sum,
-                           vertex_choices)
-from .diagram import (DiagramError, derive_edges, parse_document,
-                      seg_to_edge_id, validate)
-from .quandle import (FiniteQuandle, QuandleError, count_colorings,
-                      count_dihedral_colorings, count_trivial_colorings,
-                      is_p_colorable, is_prime, verify_quandle)
-from .yamada import yamada_normalized, yamada_raw
+from . import alexander, constituents, diagram, quandle, yamada
 
 # free loops are read as kinked unknots, one more arc each
 MAX_FREE_LOOPS = 18
@@ -44,8 +35,8 @@ def _read(path):
 def _load(args, check=True):
     """Parse args.file; refuse a checked diagram above MAX_FREE_LOOPS."""
     try:
-        d, weights = parse_document(_read(args.file), check=check)
-    except DiagramError as exc:
+        d, weights = diagram.parse_document(_read(args.file), check=check)
+    except diagram.DiagramError as exc:
         raise CliError(2, f"{args.file}: {exc}") from None
     if check and d.free_loops > MAX_FREE_LOOPS:
         raise CliError(1, f"diagram has {d.free_loops} free loops, above the "
@@ -62,7 +53,7 @@ def _emit(args, payload, text):
 
 
 def _resolve_weights(d, file_weights, flag_weights):
-    eids = set(seg_to_edge_id(derive_edges(d)).values())
+    eids = set(diagram.seg_to_edge_id(diagram.derive_edges(d)).values())
     weights = {e: 1 for e in sorted(eids)}
     for source in (file_weights or {}, flag_weights):
         for eid, w in source.items():
@@ -96,18 +87,18 @@ def _read_quandle(path):
             raise ValueError("expected n rows of n integers")
     except (KeyError, TypeError, ValueError) as exc:   # JSONDecodeError too
         raise CliError(2, f"{path}: bad quandle table: {exc}") from None
-    bad = verify_quandle(op)
+    bad = quandle.verify_quandle(op)
     if bad:
         axiom, witness = bad[0]
         raise CliError(2, f"{path}: axiom {axiom} fails at {witness}")
-    return FiniteQuandle.from_op(op)
+    return quandle.FiniteQuandle.from_op(op)
 
 
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_validate(args):
     d, _ = _load(args, check=False)
-    issues = validate(d)
+    issues = diagram.validate(d)
     if args.json:
         print(_dump({"valid": not issues, "violations": issues}))
     else:
@@ -117,7 +108,8 @@ def _cmd_validate(args):
 
 def _cmd_yamada(args):
     d, _ = _load(args)
-    poly = yamada_normalized(d).normalized if args.normalized else yamada_raw(d)
+    poly = (yamada.yamada_normalized(d).normalized if args.normalized
+            else yamada.yamada_raw(d))
     _emit(args, {"yamada": poly.to_pairs()}, str(poly))
     return 0
 
@@ -125,7 +117,7 @@ def _cmd_yamada(args):
 def _cmd_alexander(args):
     d, file_weights = _load(args)
     weights = _resolve_weights(d, file_weights, _parse_weight_flags(args.weight))
-    poly = alexander_polynomial(d, weights)
+    poly = alexander.alexander_polynomial(d, weights)
     _emit(args, {"alexander": poly.to_pairs()}, str(poly))
     return 0
 
@@ -133,7 +125,7 @@ def _cmd_alexander(args):
 def _cmd_determinant(args):
     d, file_weights = _load(args)
     weights = _resolve_weights(d, file_weights, _parse_weight_flags(args.weight))
-    det = graph_determinant(d, weights)
+    det = alexander.graph_determinant(d, weights)
     _emit(args, {"determinant": det}, str(det))
     return 0
 
@@ -141,18 +133,18 @@ def _cmd_determinant(args):
 def _cmd_colorings(args):
     d, _ = _load(args)
     if args.dihedral is not None:
-        count = count_dihedral_colorings(d, args.dihedral)
+        count = quandle.count_dihedral_colorings(d, args.dihedral)
     elif args.trivial is not None:
-        count = count_trivial_colorings(d, args.trivial)
+        count = quandle.count_trivial_colorings(d, args.trivial)
     else:
-        count = count_colorings(d, _read_quandle(args.quandle))
+        count = quandle.count_colorings(d, _read_quandle(args.quandle))
     _emit(args, {"colorings": count}, str(count))
     return 0
 
 
 def _cmd_pcolor(args):
     d, _ = _load(args)
-    answer = is_p_colorable(d, args.p)
+    answer = quandle.is_p_colorable(d, args.p)
     _emit(args, {"p_colorable": answer},
           "colorable" if answer else "not colorable")
     return 0
@@ -165,12 +157,12 @@ def _cmd_constituents(args):
     # the bytes of one sorted-key dump of {"constituents": [...], "multiset":
     # [...]}, written entry by entry; the tail after the all-int choice is
     # dumped once per family.
-    families = list(constituent_families(d, args.invariant))
+    families = list(constituents.constituent_families(d, args.invariant))
     tails = {}
     out = sys.stdout
     out.write('{"constituents":[')
     sep = ""
-    for choice, family in zip(vertex_choices(d), families):
+    for choice, family in zip(constituents.vertex_choices(d), families):
         components, value = family
         if components or not args.drop_empty:
             if id(family) not in tails:
@@ -189,7 +181,7 @@ def _cmd_constituents(args):
 
 def _cmd_group(args):
     d, _ = _load(args)
-    pres = wirtinger_presentation(d)
+    pres = alexander.wirtinger_presentation(d)
     if args.json:
         print(_dump({"generators": list(pres.generators),
                      "relators": [[[g, e] for g, e in rel]
@@ -201,7 +193,7 @@ def _cmd_group(args):
 
 def _cmd_cg(args):
     d, _ = _load(args)
-    total = conway_gordon_sum(d)
+    total = constituents.conway_gordon_sum(d)
     _emit(args, {"conway_gordon": total}, str(total))
     return 0
 
@@ -209,19 +201,25 @@ def _cmd_cg(args):
 # -- parser -----------------------------------------------------------------
 
 def _int_flag(ok, message):
-    """An argparse type: an integer n with ok(n), else message.format(n)."""
+    """An argparse type: an integer n with ok(n), else message.format(n),
+    or the message of a ValueError that ok(n) raises."""
     def parse(text):
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if not ok(n):
+        try:
+            good = ok(n)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not good:
             raise argparse.ArgumentTypeError(message.format(n))
         return n
     return parse
 
 
-_prime = _int_flag(is_prime, "{} is not prime")
+# reads `quandle` when --p is parsed, not when the module is imported
+_prime = _int_flag(lambda n: quandle.is_prime(n), "{} is not prime")
 _order = _int_flag(lambda n: n >= 1, "order must be >= 1, got {}")
 
 
@@ -291,11 +289,14 @@ def run(argv=None):
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"sginv: {exc}", file=sys.stderr)
-        return exc.code
-    except (DiagramError, WeightError, QuandleError) as exc:
-        print(f"sginv: {exc}", file=sys.stderr)
-        return 1
+        message, code = exc, exc.code
+    except diagram.DiagramError as exc:
+        message, code = exc, 1
+    # tried only after DiagramError, so a refusal loads neither module
+    except (alexander.WeightError, quandle.QuandleError) as exc:
+        message, code = exc, 1
+    print(f"sginv: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv=None):

@@ -21,11 +21,10 @@ from itertools import combinations, product
 from math import prod
 from typing import NamedTuple
 
-from .alexander import alexander_polynomial, graph_determinant
+from . import alexander, yamada
 from .diagram import (Diagram, DiagramError, UnionFind, derive_edges, rejoin,
                       require_valid)
 from .laurent import integer_minors_gcd
-from .yamada import yamada_raw
 
 # Refusal bound for vertex_choices: the number of vertex choices, each one
 # entry of a constituent listing.
@@ -134,11 +133,11 @@ _INVARIANTS = ("yamada", "alexander", "determinant")
 
 def _fingerprint_value(link: Diagram, inv: str):
     if inv == "yamada":
-        return str(yamada_raw(link))
+        return str(yamada.yamada_raw(link))
     if inv == "alexander":
-        return str(alexander_polynomial(link, None))
+        return str(alexander.alexander_polynomial(link, None))
     if inv == "determinant":
-        return graph_determinant(link, None)
+        return alexander.graph_determinant(link, None)
     raise ValueError(f"invariant must be one of {_INVARIANTS}")
 
 

@@ -220,16 +220,30 @@ def count_dihedral_colorings(d: Diagram, n: int) -> int:
         rows[-1][a] += 2
     k = min(len(rows), len(arcs))
     core, left = reduce_unit_pivots(rows, k)
-    count, p = (gcd(2, n) if odd else n) ** d.free_loops, 2
-    while n > 1:    # trial division into prime powers q
-        p = p if p * p <= n else n
+    count = (gcd(2, n) if odd else n) ** d.free_loops
+    for q in _prime_powers(n):
+        count *= _kernel_size(core, len(arcs) - k + left, q)
+    return count
+
+
+def _prime_powers(n):
+    """The prime powers whose product is n >= 1, by trial division that
+    stops at a cofactor `is_prime` shows prime; slow only when n has two
+    large prime factors or a composite cofactor above PRIME_LIMIT."""
+    p, fresh = 2, True
+    while n > 1:
+        # one Miller-Rabin run costs many trial divisions, so it runs only
+        # on a new cofactor
+        if p * p > n or fresh and n < PRIME_LIMIT and is_prime(n):
+            yield n
+            return
         q = 1
         while n % p == 0:
             n, q = n // p, q * p
-        if q > 1:
-            count *= _kernel_size(core, len(arcs) - k + left, q)
+        fresh = q > 1
+        if fresh:
+            yield q
         p += 1
-    return count
 
 
 def _kernel_size(rows, cols, q):
@@ -252,15 +266,36 @@ def _kernel_size(rows, cols, q):
     return count * q ** cols
 
 
+# Miller-Rabin to the first 13 prime bases, 2 to 41, is exact below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p):
-    """True when p is prime (trial division)."""
+    """True when p is prime, by Miller-Rabin to the bases _BASES; raises
+    QuandleError for p >= PRIME_LIMIT, where that test is no longer exact."""
+    if p >= PRIME_LIMIT:
+        raise QuandleError(f"{p} is not below {PRIME_LIMIT}, the limit of "
+                           f"the exact primality test")
     if p < 2:
         return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    for a in _BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0    # p - 1 = 2^s d with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 

@@ -37,9 +37,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
+from . import graphs
 from .diagram import Diagram, DiagramError, require_valid, smoothing_pairs
-from .graphs import (AbstractGraph, connected_components, contract_edge,
-                     delete_edge)
 from .laurent import LaurentPoly
 
 VAR = "A"
@@ -55,7 +54,7 @@ def sigma() -> LaurentPoly:
     return LaurentPoly({-1: 1, 0: 1, 1: 1}, VAR)
 
 
-def eval_crossing_free(g: AbstractGraph, memo=None) -> LaurentPoly:
+def eval_crossing_free(g: graphs.AbstractGraph, memo=None) -> LaurentPoly:
     """Evaluate an abstract multigraph by the delete/contract axioms.
 
     Connected components multiply; a component with a nonloop edge e splits
@@ -66,7 +65,7 @@ def eval_crossing_free(g: AbstractGraph, memo=None) -> LaurentPoly:
     if memo is None:
         memo = {}
     s = sigma()
-    comps, loops = connected_components(g)
+    comps, loops = graphs.connected_components(g)
     out = s ** loops if loops else LaurentPoly.constant(1, VAR)
     for comp in comps:
         val = memo.get(comp)
@@ -76,8 +75,9 @@ def eval_crossing_free(g: AbstractGraph, memo=None) -> LaurentPoly:
                 # a connected loops-only graph is one vertex with k loops: B_k
                 val = -((-s) ** len(comp.edges))
             else:
-                val = (eval_crossing_free(delete_edge(comp, nonloop), memo)
-                       + eval_crossing_free(contract_edge(comp, nonloop), memo))
+                val = (eval_crossing_free(graphs.delete_edge(comp, nonloop), memo)
+                       + eval_crossing_free(graphs.contract_edge(comp, nonloop),
+                                            memo))
             memo[comp] = val
         out = out * val
     return out

@@ -2,8 +2,8 @@
 diagram canonicalization and edge labels, balanced theta weights, the
 explicit 9x10 relation matrix, random polynomial generation (seeded; every
 test run is deterministic), and the Laurent divisibility, cofactor
-determinant, Laurent-route graph determinant, constant-coloring and flat
-Yamada state-sum oracles.
+determinant, Laurent-route graph determinant, constant-coloring, flat
+Yamada state-sum and trial-division primality oracles.
 """
 
 import os
@@ -195,3 +195,15 @@ def flat_yamada(d: Diagram):
     for g, counts in exponents.items():
         total = total + LaurentPoly(counts, VAR) * eval_crossing_free(g, memo)
     return total
+
+
+def trial_division_is_prime(p):
+    """True when p is prime, by trial division up to sqrt(p)."""
+    if p < 2:
+        return False
+    i = 2
+    while i * i <= p:
+        if p % i == 0:
+            return False
+        i += 1
+    return True

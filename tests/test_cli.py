@@ -297,6 +297,32 @@ def test_pcolor():
                    "--p", "6").returncode == 2
 
 
+def test_large_prime_orders():
+    """An 18-digit prime is tested and split off by Miller-Rabin, not by
+    trial division up to its square root."""
+    r = run_cli("pcolor", fixture_path("trefoil.json"),
+                "--p", "1000000000000000003", timeout=10)
+    assert r.returncode == 0 and r.stdout == b"not colorable\n"
+    r = run_cli("colorings", fixture_path("trefoil.json"),
+                "--dihedral", "1000000000000000003", timeout=10)
+    assert r.returncode == 0 and r.stdout == b"1000000000000000003\n"
+
+
+def test_pcolor_primality_limit():
+    """The least strong pseudoprime to the bases 2..37 is refused as not
+    prime; at the limit of the exact test the flag is refused as well."""
+    r = run_cli("pcolor", fixture_path("trefoil.json"),
+                "--p", "318665857834031151167461", timeout=10)
+    assert r.returncode == 2 and r.stdout == b""
+    assert b"318665857834031151167461 is not prime" in r.stderr
+    for p in ("3317044064679887385961981", "10" + "0" * 30):
+        r = run_cli("pcolor", fixture_path("trefoil.json"), "--p", p,
+                    timeout=10)
+        assert r.returncode == 2 and r.stdout == b""
+        assert (b"--p: " + p.encode() + b" is not below 3317044064679887385961981"
+                in r.stderr)
+
+
 def test_colorings_long_closure(tmp_path):
     """The closure of the 2-braid sigma_1^1200 has 1,200 arcs and
     det T(2, 1200) = 1200, so p^2 dihedral-p colorings when p divides 1,200

@@ -1,6 +1,7 @@
 """Finite quandles and coloring counts: axioms, an exhaustive Fox-coloring
 oracle, move invariance, constant-coloring behavior, and the linear dihedral
-and closed-form trivial counts against the search."""
+and closed-form trivial counts against the search; Miller-Rabin primality
+and the prime-power split against trial division."""
 
 import random
 from itertools import product
@@ -10,12 +11,14 @@ import pytest
 from sginv import catalog
 from sginv.diagram import Diagram, derive_arcs, parse_document
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, disjoint_union
-from sginv.quandle import (FiniteQuandle, QuandleError, _kernel_size,
-                           count_colorings, count_dihedral_colorings,
-                           count_trivial_colorings, dihedral_quandle,
-                           is_p_colorable, trivial_quandle, verify_quandle)
+from sginv.quandle import (PRIME_LIMIT, FiniteQuandle, QuandleError,
+                           _kernel_size, _prime_powers, count_colorings,
+                           count_dihedral_colorings, count_trivial_colorings,
+                           dihedral_quandle, is_p_colorable, is_prime,
+                           trivial_quandle, verify_quandle)
 
-from helpers import count_constant_colorings, read_fixture, small_corpus
+from helpers import (count_constant_colorings, read_fixture, small_corpus,
+                     trial_division_is_prime)
 
 
 def test_builtin_families_satisfy_axioms():
@@ -261,3 +264,62 @@ def test_linear_counts_reject_bad_orders():
         for n in (0, -3):
             with pytest.raises(QuandleError):
                 count(catalog.trefoil(), n)
+
+
+def test_is_prime_matches_trial_division():
+    for p in range(-2, 10 ** 5):
+        assert is_prime(p) == trial_division_is_prime(p), p
+
+
+# (number, prime?): Mersenne primes, products of two large primes, the
+# Carmichael number 211 * 421 * 631 (every base passes Fermat's test, so
+# only a square root of 1 other than +-1 exposes it), and the least strong
+# pseudoprimes to the first 4, 9 and 12 prime bases; only base 41 exposes
+# the last one
+LARGE = ((2 ** 31 - 1, True), (2 ** 61 - 1, True), (10 ** 18 + 3, True),
+         ((10 ** 9 + 7) * (10 ** 9 + 9), False), ((2 ** 31 - 1) ** 2, False),
+         (211 * 421 * 631, False),
+         (3215031751, False), (3825123056546413051, False),
+         (318665857834031151167461, False))
+
+
+def test_is_prime_on_large_numbers():
+    for n, prime in LARGE:
+        assert is_prime(n) == prime, n
+    # PRIME_LIMIT is the least strong pseudoprime to all 13 bases
+    for n in (PRIME_LIMIT, PRIME_LIMIT + 2, 2 ** 89 - 1):
+        with pytest.raises(QuandleError, match="primality"):
+            is_prime(n)
+        with pytest.raises(QuandleError):
+            is_p_colorable(catalog.trefoil(), n)
+
+
+def factor_powers(n):
+    """The prime powers of n by trial division of every candidate."""
+    out = []
+    for p in range(2, n + 1):
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            out.append(q)
+    return out
+
+
+def test_prime_powers_match_trial_division():
+    for n in range(1, 3000):
+        assert list(_prime_powers(n)) == factor_powers(n), n
+    big = 10 ** 18 + 3
+    assert list(_prime_powers(2 ** 5 * 9 * big)) == [32, 9, big]
+    assert list(_prime_powers(7 ** 3 * (2 ** 61 - 1))) == [343, 2 ** 61 - 1]
+    # cofactors above PRIME_LIMIT are split by trial division alone
+    assert list(_prime_powers(2 ** 100 * 3 ** 40)) == [2 ** 100, 3 ** 40]
+
+
+def test_dihedral_count_with_a_large_prime_factor():
+    """The trefoil (determinant 3) has n gcd(n, 3) dihedral-n colorings."""
+    big = 10 ** 18 + 3
+    for n in (big, 3 * big, 9 * big, 10 * big):
+        assert count_dihedral_colorings(catalog.trefoil(), n) == \
+            n * (3 if n % 3 == 0 else 1), n
+    assert not is_p_colorable(catalog.trefoil(), big)
