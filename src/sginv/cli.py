@@ -138,7 +138,12 @@ def _cmd_colorings(args):
         count = quandle.count_trivial_colorings(d, args.trivial)
     else:
         count = quandle.count_colorings(d, _read_quandle(args.quandle))
-    _emit(args, {"colorings": count}, str(count))
+    try:
+        text = str(count)    # json.dumps stops at the same digit limit
+    except ValueError:
+        raise CliError(1, f"the count has over {sys.get_int_max_str_digits()}"
+                          f" digits, the limit of int to str") from None
+    _emit(args, {"colorings": count}, text)
     return 0
 
 

@@ -8,7 +8,7 @@ Coefficients are arbitrary-precision Python ints; nothing is ever floated.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd as int_gcd
+from math import gcd as int_gcd, prod
 
 
 class VariableMismatch(ValueError):
@@ -439,19 +439,8 @@ def minors_gcd(matrix, k):
         for cset in combinations(range(cols), k))
 
 
-def _unit_inverse(e):
-    """The inverse of a unit entry (+-1 in Z, +-x^k in Z[x^+-1]), else None."""
-    if isinstance(e, LaurentPoly):
-        return e ** -1 if e.is_unit() else None
-    return e if e in (1, -1) else None
-
-
-def _is_zero(e):
-    return e.is_zero() if isinstance(e, LaurentPoly) else e == 0
-
-
 def reduce_unit_pivots(matrix, k):
-    """Shrink the k-minor gcd problem of a matrix over Z or Z[x^+-1].
+    """Shrink the k-minor gcd problem of a matrix over Z[x^+-1].
 
     The gcd of the k x k minors is unchanged by elementary row and column
     operations.  Clearing the row and column of a unit entry u at (i, j)
@@ -467,17 +456,17 @@ def reduce_unit_pivots(matrix, k):
         raise ValueError(f"minor size {k} out of range for {rows}x{cols}")
     m = [list(row) for row in matrix]
     while k:
-        pivot = next(((i, j, inv) for i, row in enumerate(m)
-                      for j, e in enumerate(row)
-                      if (inv := _unit_inverse(e)) is not None), None)
+        pivot = next(((i, j) for i, row in enumerate(m)
+                      for j, e in enumerate(row) if e.is_unit()), None)
         if pivot is None:
             break
-        i, j, inv = pivot
+        i, j = pivot
         prow = m.pop(i)
+        inv = prow[j] ** -1
         support = [(b, e) for b, e in enumerate(prow)
-                   if b != j and not _is_zero(e)]
+                   if b != j and not e.is_zero()]
         for row in m:
-            if not _is_zero(row[j]):
+            if not row[j].is_zero():
                 factor = row[j] * inv
                 for b, e in support:
                     row[b] = row[b] - factor * e
@@ -486,9 +475,55 @@ def reduce_unit_pivots(matrix, k):
     return m, k
 
 
+def invariant_factors(rows):
+    """The invariant factors s_1 | s_2 | ... of an integer matrix, the
+    positive diagonal of its Smith normal form (H. J. S. Smith, 1861), as
+    many as its rank: s_1 ... s_k is the gcd of the k x k minors, and the
+    kernel mod n has n^(cols - rank) prod gcd(s_i, n) elements.
+
+    Pivots on the first +-1 in row-major order, else on an entry of least
+    |value|.  A pivot that leaves a remainder in its row or column, or does
+    not divide every other entry, gives way to that smaller remainder."""
+    m = [list(row) for row in rows]
+    factors = []
+    while True:
+        pivot = next(((i, j) for i, row in enumerate(m)
+                      for j, e in enumerate(row) if e in (1, -1)), None)
+        if pivot is None:
+            least = min(((abs(e), i, j) for i, row in enumerate(m)
+                         for j, e in enumerate(row) if e), default=None)
+            if least is None:
+                return factors
+            pivot = least[1:]
+        i, j = pivot
+        prow = m.pop(i)
+        p = prow[j]
+        support = [(b, e) for b, e in enumerate(prow) if e]
+        for row in m:
+            if row[j]:
+                q = row[j] // p
+                for b, e in support:
+                    row[b] -= q * e
+        if any(row[j] for row in m):
+            m.insert(i, prow)    # a remainder below |p| is left in column j
+            continue
+        if p not in (1, -1):
+            # with the column clear, column operations change the pivot row
+            # alone and reduce it mod p; when that clears it, a row that p
+            # does not divide is added to it first
+            rest = next((r for r in ([x % p for x in row]
+                                     for row in [prow, *m]) if any(r)), None)
+            if rest is not None:
+                rest[j] = p
+                m.insert(i, rest)
+                continue
+        factors.append(abs(p))
+        for row in m:
+            del row[j]
+
+
 def integer_minors_gcd(matrix, k):
-    """The gcd of the k x k minors of an integer matrix, >= 0: unit pivots
-    first, then the core's minors through minors_gcd."""
-    core, k = reduce_unit_pivots(matrix, k)
-    return minors_gcd([[LaurentPoly.constant(e) for e in row] for row in core],
-                      k).coeff(0)
+    """The gcd of the k x k minors of an integer matrix, >= 0: the product
+    of its first k invariant factors, 0 when its rank is below k."""
+    s = invariant_factors(matrix)
+    return prod(s[:k]) if k <= len(s) else 0

@@ -9,18 +9,20 @@ colors, with its signs eps, fixes the color of every arc of the diagram.
 
 `count_colorings` searches for the colorings by any finite quandle table.
 The dihedral quandle R_n is linear, so `count_dihedral_colorings` counts
-its colorings as the kernel of the integer Fox coloring matrix mod n, and
-the trivial quandle's count is a power of n (`count_trivial_colorings`).
+its colorings as the kernel of the integer Fox coloring matrix mod n, read
+off the matrix's invariant factors without factoring n, and the trivial
+quandle's count is a power of n (`count_trivial_colorings`).  Miller-Rabin
+(`is_prime`) only checks the prime of `is_p_colorable`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .diagram import Diagram, derive_edges, require_valid, wirtinger_relations
-from .laurent import reduce_unit_pivots
+from .laurent import invariant_factors
 
 
 class QuandleError(ValueError):
@@ -198,8 +200,8 @@ def count_dihedral_colorings(d: Diagram, n: int) -> int:
     every color when 2D = 0, and a color x only when 2x = 2S.  So an odd
     vertex asks 2(a - a_0) = 0 for every arc a and 2(a_0 - S) = 0, and leaves
     a free loop gcd(2, n) colors (n without odd vertices).  The count is the
-    kernel mod n of these rows: unit pivots drop one arc each, then the
-    core's kernel is counted mod each prime power of n."""
+    kernel mod n of these rows, read off their invariant factors s_i as
+    n^(arcs - rank) prod gcd(s_i, n), with no need to factor n."""
     require_valid(d)
     if n < 1:
         raise QuandleError("order must be >= 1")
@@ -218,52 +220,9 @@ def count_dihedral_colorings(d: Diagram, n: int) -> int:
     for a in range(1, len(arcs) if odd else 0):
         rows.append([-2] + [0] * (len(arcs) - 1))
         rows[-1][a] += 2
-    k = min(len(rows), len(arcs))
-    core, left = reduce_unit_pivots(rows, k)
-    count = (gcd(2, n) if odd else n) ** d.free_loops
-    for q in _prime_powers(n):
-        count *= _kernel_size(core, len(arcs) - k + left, q)
-    return count
-
-
-def _prime_powers(n):
-    """The prime powers whose product is n >= 1, by trial division that
-    stops at a cofactor `is_prime` shows prime; slow only when n has two
-    large prime factors or a composite cofactor above PRIME_LIMIT."""
-    p, fresh = 2, True
-    while n > 1:
-        # one Miller-Rabin run costs many trial divisions, so it runs only
-        # on a new cofactor
-        if p * p > n or fresh and n < PRIME_LIMIT and is_prime(n):
-            yield n
-            return
-        q = 1
-        while n % p == 0:
-            n, q = n // p, q * p
-        fresh = q > 1
-        if fresh:
-            yield q
-        p += 1
-
-
-def _kernel_size(rows, cols, q):
-    """How many x in (Z/q)^cols have rows x = 0 mod q, for a prime power q:
-    pivot on an entry of least gcd g with q, which divides every other
-    entry, so its variable has g solutions; columns left at zero are free."""
-    m = [[x % q for x in row] for row in rows]
-    count = 1
-    while any(map(any, m)):
-        g, i, j = min((gcd(x, q), i, j) for i, row in enumerate(m)
-                      for j, x in enumerate(row) if x)
-        prow = m.pop(i)
-        inv = pow(prow[j] // g, -1, q)
-        for row in m:
-            f = row[j] // g * inv
-            row[:] = [(x - f * y) % q for x, y in zip(row, prow)]
-            del row[j]
-        count *= g
-        cols -= 1
-    return count * q ** cols
+    s = invariant_factors(rows)
+    return ((gcd(2, n) if odd else n) ** d.free_loops
+            * prod(gcd(f, n) for f in s) * n ** (len(arcs) - len(s)))
 
 
 # Miller-Rabin to the first 13 prime bases, 2 to 41, is exact below

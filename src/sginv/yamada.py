@@ -45,7 +45,7 @@ VAR = "A"
 
 # how many starts the tile order tries, at most
 _STARTS = 8
-# the largest estimated cost `yamada_raw` takes on, timed in ROADMAP.md item 1
+# the largest estimated cost `yamada_raw` takes on, timed in ROADMAP fact (f)
 MAX_COST = 3 * 10 ** 10
 
 

@@ -145,18 +145,17 @@ def cofactor_det(matrix):
 
 def laurent_determinant(d: Diagram, weights):
     """The graph determinant through the Alexander matrix: every Laurent
-    entry evaluated at t = -1, then integer unit pivots and the core's
-    minors through minors_gcd."""
+    entry evaluated at t = -1 and lifted back to a constant, then unit
+    pivots and the core's minors through minors_gcd."""
     m = build_alexander_matrix(d, weights)
     r, s = m.row_count, m.col_count
     if r == 0:
         return 1
     if r - 1 > s:
         raise DiagramError(f"degenerate input: {r} relations but only {s} arcs")
-    core, k = reduce_unit_pivots([[e.subs_int(-1) for e in row]
-                                  for row in m.rows], r - 1)
-    return minors_gcd([[LaurentPoly.constant(e) for e in row]
-                       for row in core], k).coeff(0)
+    core, k = reduce_unit_pivots([[LaurentPoly.constant(e.subs_int(-1))
+                                   for e in row] for row in m.rows], r - 1)
+    return minors_gcd(core, k).coeff(0)
 
 
 def count_constant_colorings(d: Diagram, X):

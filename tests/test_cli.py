@@ -298,14 +298,33 @@ def test_pcolor():
 
 
 def test_large_prime_orders():
-    """An 18-digit prime is tested and split off by Miller-Rabin, not by
-    trial division up to its square root."""
+    """An 18-digit prime --p is tested by Miller-Rabin, not by trial
+    division up to its square root, and no dihedral order is factored:
+    (10^9 + 7)(10^9 + 9) and 2 times a cofactor above the limit of the
+    primality test are prime to the trefoil's determinant 3, so each has
+    as many colorings as its order."""
     r = run_cli("pcolor", fixture_path("trefoil.json"),
                 "--p", "1000000000000000003", timeout=10)
     assert r.returncode == 0 and r.stdout == b"not colorable\n"
-    r = run_cli("colorings", fixture_path("trefoil.json"),
-                "--dihedral", "1000000000000000003", timeout=10)
-    assert r.returncode == 0 and r.stdout == b"1000000000000000003\n"
+    for n in ("1000000000000000003", "1000000016000000063",
+              "4000000000000000000000000006"):
+        r = run_cli("colorings", fixture_path("trefoil.json"),
+                    "--dihedral", n, timeout=10)
+        assert r.returncode == 0 and r.stdout == n.encode() + b"\n", n
+
+
+def test_colorings_count_above_the_digit_limit():
+    """A count too long for str() exits 1 with one line naming the
+    interpreter's digit limit, in text and JSON mode, instead of a
+    traceback."""
+    order = "1" + "0" * 1000
+    for flags in (("--trivial", order), ("--dihedral", order),
+                  ("--trivial", order, "--json")):
+        r = run_cli("colorings", fixture_path("k5.json"), *flags, timeout=10)
+        assert r.returncode == 1 and r.stdout == b"", flags
+        assert r.stderr.count(b"\n") == 1, flags
+        assert r.stderr.startswith(b"sginv: ") and b"digits" in r.stderr
+        assert str(sys.get_int_max_str_digits()).encode() in r.stderr, flags
 
 
 def test_pcolor_primality_limit():

@@ -1,7 +1,7 @@
-"""The unit-pivot reduction of the (r-1)-minor gcd against the exhaustive
-engines: `minors_gcd` over Z[t^+-1] and an `_int_det` gcd over Z, on random
-unit-rich matrices, the explicit 9x10 matrix, the fixtures and seeded braid
-closures."""
+"""The unit-pivot reduction over Z[t^+-1] against the exhaustive
+`minors_gcd`, and the invariant factors behind `integer_minors_gcd` against
+an exhaustive `_int_det` gcd over Z, on random matrices, the explicit 9x10
+matrix, the fixtures and seeded braid closures."""
 
 import random
 from itertools import combinations
@@ -14,7 +14,8 @@ from sginv.alexander import (_int_det, alexander_polynomial,
                              build_alexander_matrix, gcd_of_minors,
                              graph_determinant, uniform_weights)
 from sginv.diagram import parse_document
-from sginv.laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
+from sginv.laurent import (LaurentPoly, integer_minors_gcd, invariant_factors,
+                           minors_gcd, reduce_unit_pivots)
 
 from helpers import (balanced_theta_weights, nine_by_ten_matrix, random_laurent,
                      random_unit, read_fixture)
@@ -30,11 +31,6 @@ def int_minors_gcd(matrix, k):
             g = gcd(g, abs(_int_det([[matrix[i][j] for j in cset]
                                      for i in rset])))
     return g
-
-
-def reduced_int_minors_gcd(matrix, k):
-    core, k = reduce_unit_pivots(matrix, k)
-    return int_minors_gcd(core, k)
 
 
 def random_entry(rng, unit_share):
@@ -71,7 +67,6 @@ def test_reduction_shape_and_unit_counting():
     # pivot on t at (0, 0): core [[2 - 2 t^-1 2]]
     assert k == 1 and core == [[two - two * t ** -1 * two]]
     assert reduce_unit_pivots([[two, two]], 1) == ([[two, two]], 1)
-    assert reduce_unit_pivots([[1, 3], [3, 1]], 2) == ([[-8]], 1)
     assert reduce_unit_pivots([[t]], 0) == ([[t]], 0)
     assert reduce_unit_pivots([], 0) == ([], 0)
     assert reduce_unit_pivots([[], [], []], 0) == ([[], [], []], 0)
@@ -79,6 +74,25 @@ def test_reduction_shape_and_unit_counting():
         reduce_unit_pivots([[t, t]], 2)
     with pytest.raises(ValueError):
         reduce_unit_pivots([[t]], -1)
+    # over Z the reduction runs on to the invariant factors
+    assert invariant_factors([[1, 3], [3, 1]]) == [1, 8]
+    assert invariant_factors([[2, 4], [6, 8]]) == [2, 4]
+    assert invariant_factors([[4, 6]]) == [2]
+    assert invariant_factors([[6, 0], [0, 4]]) == [2, 12]
+    assert invariant_factors([[0, -3], [0, 0]]) == [3]
+    assert invariant_factors([[0, 0]]) == []
+    assert invariant_factors([[], [], []]) == []
+    assert invariant_factors([]) == []
+
+
+def assert_integer_engine(m, label):
+    """integer_minors_gcd against the exhaustive gcd for every minor size,
+    and the invariant factors form a divisibility chain of positive ints."""
+    s = invariant_factors(m)
+    assert all(a > 0 for a in s), (label, s)
+    assert all(b % a == 0 for a, b in zip(s, s[1:])), (label, s)
+    for k in range(min(len(m), len(m[0]) if m else 0) + 2):
+        assert integer_minors_gcd(m, k) == int_minors_gcd(m, k), (label, k)
 
 
 def test_random_laurent_matrices_against_minors_gcd():
@@ -92,13 +106,20 @@ def test_random_laurent_matrices_against_minors_gcd():
 
 
 def test_random_integer_matrices_against_int_det_gcd():
+    """Unit-rich matrices at t = -1, then matrices with few or no units,
+    where the pivots must give way to smaller remainders."""
     rng = random.Random(2718)
     for trial in range(150):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
-        m = at_minus_one(random_matrix(rng, rows, cols))
-        for k in range(min(rows, cols) + 1):
-            expected = int_minors_gcd(m, k)
-            assert reduced_int_minors_gcd(m, k) == expected, (trial, k)
+        assert_integer_engine(at_minus_one(random_matrix(rng, rows, cols)),
+                              trial)
+    for trial in range(300):
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        pool = rng.choice(((0, 0, 2, -2, 3, 4, 6, 8, 9, -12),
+                           (0, 0, 0, 6, 10, 15, -4, 9, 25),
+                           (0, 1, -1, 2, 3, -5, 7)))
+        m = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+        assert_integer_engine(m, (trial, m))
 
 
 def test_degenerate_matrices():
@@ -109,7 +130,7 @@ def test_degenerate_matrices():
         m = [[zero] * cols for _ in range(rows)]
         for k in range(1, min(rows, cols) + 1):
             assert minors_gcd(*reduce_unit_pivots(m, k)) == zero
-            assert reduced_int_minors_gcd(at_minus_one(m), k) == 0
+            assert integer_minors_gcd(at_minus_one(m), k) == 0
         assert minors_gcd(*reduce_unit_pivots(m, 0)) == one
     for trial in range(40):
         rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
@@ -121,16 +142,14 @@ def test_degenerate_matrices():
         for k in range(min(rows, cols) + 2):
             assert minors_gcd(*reduce_unit_pivots(m, k)) == minors_gcd(m, k), \
                 (trial, k)
-            im = at_minus_one(m)
-            assert reduced_int_minors_gcd(im, k) == int_minors_gcd(im, k), \
-                (trial, k)
+        assert_integer_engine(at_minus_one(m), trial)
 
 
 def test_nine_by_ten_matrix_against_exhaustive():
     m = nine_by_ten_matrix()
     assert gcd_of_minors(m, 8) == minors_gcd(m, 8)
     im = at_minus_one(m)
-    assert reduced_int_minors_gcd(im, 8) == int_minors_gcd(im, 8)
+    assert integer_minors_gcd(im, 8) == int_minors_gcd(im, 8)
 
 
 def exhaustive_invariants(d, weights):

@@ -1,21 +1,24 @@
 """Finite quandles and coloring counts: axioms, an exhaustive Fox-coloring
 oracle, move invariance, constant-coloring behavior, and the linear dihedral
-and closed-form trivial counts against the search; Miller-Rabin primality
-and the prime-power split against trial division."""
+and closed-form trivial counts against the search, the invariant-factor
+kernel count against enumeration, and Miller-Rabin primality against trial
+division."""
 
 import random
 from itertools import product
+from math import gcd, prod
 
 import pytest
 
 from sginv import catalog
 from sginv.diagram import Diagram, derive_arcs, parse_document
+from sginv.laurent import invariant_factors
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, disjoint_union
 from sginv.quandle import (PRIME_LIMIT, FiniteQuandle, QuandleError,
-                           _kernel_size, _prime_powers, count_colorings,
-                           count_dihedral_colorings, count_trivial_colorings,
-                           dihedral_quandle, is_p_colorable, is_prime,
-                           trivial_quandle, verify_quandle)
+                           count_colorings, count_dihedral_colorings,
+                           count_trivial_colorings, dihedral_quandle,
+                           is_p_colorable, is_prime, trivial_quandle,
+                           verify_quandle)
 
 from helpers import (count_constant_colorings, read_fixture, small_corpus,
                      trial_division_is_prime)
@@ -223,19 +226,22 @@ def test_dihedral_count_on_even_degree_graphs():
 
 
 def test_kernel_size_against_enumeration():
-    """The elimination mod p^e against counting every vector, on small
-    random integer matrices with repeated prime factors in the entries."""
+    """The kernel mod q read off the invariant factors s_i, as
+    q^(cols - rank) prod gcd(s_i, q), against counting every vector, on
+    small random integer matrices with repeated prime factors in the
+    entries, for prime powers and composite q."""
     rng = random.Random(31)
     for trial in range(200):
         rows, cols = rng.randrange(0, 4), rng.randrange(0, 4)
         m = [[rng.choice((0, 0, 1, -1, 2, -2, 3, 4, 6, 8, 9, -12))
               for _ in range(cols)] for _ in range(rows)]
-        for p, e in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1)):
-            q = p ** e
+        s = invariant_factors(m)
+        for q in (2, 8, 3, 9, 5, 6, 12):
             brute = sum(all(sum(a * x for a, x in zip(row, v)) % q == 0
                             for row in m)
                         for v in product(range(q), repeat=cols))
-            assert _kernel_size(m, cols, q) == brute, (trial, m, q)
+            assert q ** (cols - len(s)) * prod(gcd(f, q) for f in s) == \
+                brute, (trial, m, q)
 
 
 def test_trivial_count_matches_search():
@@ -294,32 +300,13 @@ def test_is_prime_on_large_numbers():
             is_p_colorable(catalog.trefoil(), n)
 
 
-def factor_powers(n):
-    """The prime powers of n by trial division of every candidate."""
-    out = []
-    for p in range(2, n + 1):
-        q = 1
-        while n % p == 0:
-            n, q = n // p, q * p
-        if q > 1:
-            out.append(q)
-    return out
-
-
-def test_prime_powers_match_trial_division():
-    for n in range(1, 3000):
-        assert list(_prime_powers(n)) == factor_powers(n), n
-    big = 10 ** 18 + 3
-    assert list(_prime_powers(2 ** 5 * 9 * big)) == [32, 9, big]
-    assert list(_prime_powers(7 ** 3 * (2 ** 61 - 1))) == [343, 2 ** 61 - 1]
-    # cofactors above PRIME_LIMIT are split by trial division alone
-    assert list(_prime_powers(2 ** 100 * 3 ** 40)) == [2 ** 100, 3 ** 40]
-
-
 def test_dihedral_count_with_a_large_prime_factor():
-    """The trefoil (determinant 3) has n gcd(n, 3) dihedral-n colorings."""
+    """The trefoil (determinant 3) has n gcd(n, 3) dihedral-n colorings,
+    also for n with two large prime factors or a cofactor above
+    PRIME_LIMIT, since n is never factored."""
     big = 10 ** 18 + 3
-    for n in (big, 3 * big, 9 * big, 10 * big):
+    for n in (big, 3 * big, 9 * big, 10 * big, (10 ** 9 + 7) * (10 ** 9 + 9),
+              4 * 10 ** 27 + 6, 3 * PRIME_LIMIT ** 2):
         assert count_dihedral_colorings(catalog.trefoil(), n) == \
             n * (3 if n % 3 == 0 else 1), n
     assert not is_p_colorable(catalog.trefoil(), big)
