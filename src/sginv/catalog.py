@@ -1,5 +1,6 @@
-"""Built-in diagrams: standard knots from PD codes, theta-curves, and a
-straight-line complete-graph embedding on the moment curve.
+"""Built-in diagrams: standard knots from PD codes, braid closures,
+theta-curves, and a straight-line complete-graph embedding on the moment
+curve, read off its closed forms in exact arithmetic.
 
 PD convention: a crossing X(a, b, c, d) lists the four strand labels
 counterclockwise starting at the incoming under strand, so under_in = a and
@@ -10,10 +11,9 @@ successor step in the (cyclic) strand numbering 1..2n.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import atan2
+from itertools import accumulate, combinations
 
-from .diagram import Crossing, Diagram, DiagramError, UnionFind, VertexNode
+from .diagram import Crossing, Diagram, DiagramError, VertexNode
 
 
 def from_pd(codes) -> Diagram:
@@ -44,7 +44,10 @@ def braid_closure(strands: int, word) -> Diagram:
     """Close a braid (generators +-1..+-(strands-1), positive = left strand
     over right) into a link diagram.  With the braid flowing downward the
     positive generator comes out as a sign +1 crossing under the derived
-    cyclic-order convention."""
+    cyclic-order convention.  The closure joins each bottom segment to the
+    top segment at its position.  Segments are numbered top ones first,
+    left to right, then the two each generator makes, in word order; a
+    position no generator touches is a free loop and gets no number."""
     cur = list(range(strands))
     next_id = strands
     raw = []
@@ -56,31 +59,17 @@ def braid_closure(strands: int, word) -> Diagram:
         left_new, right_new = next_id, next_id + 1
         next_id += 2
         if g > 0:
-            raw.append(("x", a, right_new, b, left_new, 1))
+            raw.append(Crossing(a, right_new, b, left_new, 1))
         else:
-            raw.append(("x", b, left_new, a, right_new, -1))
+            raw.append(Crossing(b, left_new, a, right_new, -1))
         cur[i], cur[i + 1] = left_new, right_new
 
-    # the closure identifies the bottom segment at each position with the
-    # top segment that started there
-    uf = UnionFind(range(next_id))
-    find = uf.find
-    for j in range(strands):
-        uf.union(cur[j], j)
-
-    used = set()
-    crossings = []
-    for _, oi, oo, ui, uo, sign in raw:
-        oi, oo, ui, uo = find(oi), find(oo), find(ui), find(uo)
-        used.update((oi, oo, ui, uo))
-        crossings.append(Crossing(over_in=oi, over_out=oo,
-                                  under_in=ui, under_out=uo, sign=sign))
-    free = len({find(j) for j in range(strands)} - used)
-    relabel = {s: i for i, s in enumerate(sorted(used))}
-    crossings = tuple(Crossing(relabel[c.over_in], relabel[c.over_out],
-                               relabel[c.under_in], relabel[c.under_out], c.sign)
-                      for c in crossings)
-    return Diagram((), crossings, free)
+    top = {s: j for j, s in enumerate(cur)}
+    index = {s: i for i, s in enumerate(sorted({top.get(s, s) for c in raw
+                                                for s in c[:4]}))}
+    crossings = tuple(Crossing(*[index[top.get(s, s)] for s in c[:4]], c.sign)
+                      for c in raw)
+    return Diagram((), crossings, sum(j not in index for j in range(strands)))
 
 
 # -- knots ------------------------------------------------------------------
@@ -175,99 +164,41 @@ def theta_trivial() -> Diagram:
 # -- complete graphs on the moment curve ------------------------------------
 
 def complete_graph_moment_curve(n: int = 7) -> Diagram:
-    """Straight-line embedding of K_n with vertex i at (i, i^2, i^3).
+    """Straight-line embedding of K_n with vertex i at (i, i^2, i^3), every
+    edge oriented from its lower to its higher end.
 
-    Projecting out the third coordinate puts the vertices in convex
-    position; chords cross exactly when their endpoint pairs interleave,
-    and over/under comes from exact comparison of the third coordinate at
-    each crossing point.  Everything is computed in rational arithmetic.
+    Everything is read off closed forms, in exact integer and rational
+    arithmetic.  Chord (a, b) projects onto the line y = (a + b) x - ab, so
+    chords (a, b) and (c, d) cross exactly when their ends interleave,
+    a < c < b < d, at x = (ab - cd) / (a + b - c - d); the crossings along
+    a chord are ordered by that x.  There chord (a, b) stands at height
+    x (a^2 + ab + b^2) - ab (a + b), and chord (c, d) stands higher by
+    (b - c)(d - a)(c - a)(d - b) / (c + d - a - b) > 0, so (c, d) is over.
+    The sign is +1 when the under chord's slope a + b is the smaller, which
+    it always is: every crossing is positive.  Around vertex i the
+    direction to j is (j - i)(1, i + j), so counterclockwise from the
+    negative x-axis the neighbours come in index order, the order in which
+    `combinations` lists the edges.
     """
-    pts = {i: (Fraction(i), Fraction(i * i), Fraction(i ** 3))
-           for i in range(1, n + 1)}
-    edges = list(combinations(range(1, n + 1), 2))  # oriented low -> high
-
-    def interleave(e, f):
-        (a, b), (c, d) = e, f
-        return a < c < b < d or c < a < d < b
-
-    def cross_data(e, f):
-        """(parameter along e, parameter along f, z of e, z of f) at the
-        2D intersection of chords e and f."""
-        p1, p2 = pts[e[0]], pts[e[1]]
-        q1, q2 = pts[f[0]], pts[f[1]]
-        d1 = (p2[0] - p1[0], p2[1] - p1[1])
-        d2 = (q2[0] - q1[0], q2[1] - q1[1])
-        denom = d1[0] * d2[1] - d1[1] * d2[0]
-        rx, ry = q1[0] - p1[0], q1[1] - p1[1]
-        s = (rx * d2[1] - ry * d2[0]) / denom
-        t = (rx * d1[1] - ry * d1[0]) / denom
-        z_e = p1[2] + s * (p2[2] - p1[2])
-        z_f = q1[2] + t * (q2[2] - q1[2])
-        return s, t, z_e, z_f
-
-    # crossings per edge, ordered along the edge
-    hits = {e: [] for e in edges}  # (param, other edge, z_self, z_other)
-    for e, f in combinations(edges, 2):
-        if interleave(e, f):
-            s, t, z_e, z_f = cross_data(e, f)
-            hits[e].append((s, f, z_e, z_f))
-            hits[f].append((t, e, z_f, z_e))
-    for e in edges:
-        hits[e].sort(key=lambda h: h[0])
-
-    # allocate segments along each edge
-    next_seg = 0
-    seg_chain = {}   # edge -> list of segment ids, one more than crossings
-    for e in edges:
-        k = len(hits[e]) + 1
-        seg_chain[e] = list(range(next_seg, next_seg + k))
-        next_seg += k
-
-    # crossings: keyed by unordered edge pair
-    crossings = []
-    seen = set()
-    for e in edges:
-        for pos, (s, f, z_e, z_f) in enumerate(hits[e]):
-            key = frozenset((e, f))
-            if key in seen:
-                continue
-            seen.add(key)
-            pos_f = next(i for i, h in enumerate(hits[f]) if h[1] == e)
-            e_in, e_out = seg_chain[e][pos], seg_chain[e][pos + 1]
-            f_in, f_out = seg_chain[f][pos_f], seg_chain[f][pos_f + 1]
-            assert z_e != z_f, "tangent chords on the moment curve"
-            if z_e > z_f:
-                over, under = (e_in, e_out), (f_in, f_out)
-                over_dir = _dir2(pts, e)
-                under_dir = _dir2(pts, f)
-            else:
-                over, under = (f_in, f_out), (e_in, e_out)
-                over_dir = _dir2(pts, f)
-                under_dir = _dir2(pts, e)
-            cz = over_dir[0] * under_dir[1] - over_dir[1] * under_dir[0]
-            sign = 1 if cz < 0 else -1
-            crossings.append(Crossing(over_in=over[0], over_out=over[1],
-                                      under_in=under[0], under_out=under[1],
-                                      sign=sign))
-
-    vertices = []
-    for i in range(1, n + 1):
-        inc = []
-        for e in edges:
-            if e[0] == i:
-                inc.append((seg_chain[e][0], "out", _angle(pts, i, e[1])))
-            elif e[1] == i:
-                inc.append((seg_chain[e][-1], "in", _angle(pts, i, e[0])))
-        inc.sort(key=lambda x: x[2])  # counterclockwise around the vertex
-        vertices.append(VertexNode(i, tuple((s, d) for s, d, _ in inc)))
-    return Diagram(tuple(vertices), tuple(crossings), 0)
-
-
-def _dir2(pts, e):
-    p, q = pts[e[0]], pts[e[1]]
-    return (q[0] - p[0], q[1] - p[1])
-
-
-def _angle(pts, at, other):
-    p, q = pts[at], pts[other]
-    return atan2(float(q[1] - p[1]), float(q[0] - p[0]))
+    edges = list(combinations(range(1, n + 1), 2))
+    # the chords crossing each chord, ordered along it
+    hits = {(a, b): sorted(((c, d) for c, d in edges
+                            if a < c < b < d or c < a < d < b),
+                           key=lambda f: Fraction(a * b - f[0] * f[1],
+                                                  a + b - f[0] - f[1]))
+            for a, b in edges}
+    # chord e owns the segments first[e], first[e] + 1, ... in order along
+    # it; into[e, f] is the one that runs into e's crossing with chord f
+    first = dict(zip(edges, accumulate((len(hits[e]) + 1 for e in edges),
+                                       initial=0)))
+    into = {(e, f): first[e] + i for e in edges for i, f in enumerate(hits[e])}
+    crossings = tuple(
+        Crossing(over_in=into[f, e], over_out=into[f, e] + 1,
+                 under_in=into[e, f], under_out=into[e, f] + 1, sign=1)
+        for e in edges for f in hits[e] if e < f)
+    vertices = tuple(
+        VertexNode(v, tuple((first[e], "out") if e[0] == v
+                            else (first[e] + len(hits[e]), "in")
+                            for e in edges if v in e))
+        for v in range(1, n + 1))
+    return Diagram(vertices, crossings, 0)

@@ -53,6 +53,10 @@ def _emit(args, payload, text):
 
 
 def _resolve_weights(d, file_weights, flag_weights):
+    """The edge weights of the file overlaid by the --weight flags, 1 on
+    every other edge; None (weight 1 everywhere) when neither gives one."""
+    if not file_weights and not flag_weights:
+        return None
     eids = set(diagram.seg_to_edge_id(diagram.derive_edges(d)).values())
     weights = {e: 1 for e in sorted(eids)}
     for source in (file_weights or {}, flag_weights):

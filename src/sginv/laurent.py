@@ -423,20 +423,29 @@ def bareiss_det(matrix):
 def minors_gcd(matrix, k):
     """GCD over all k x k minors of a rectangular LaurentPoly matrix.
 
-    k = 0 yields 1; if every minor vanishes the result is 0.  Enumeration is
-    row subsets outer, column subsets inner, with early exit once the running
-    gcd hits 1.
+    k = 0 yields 1; if every minor vanishes the result is 0.  All-zero rows
+    and columns are dropped first, since every minor through one vanishes;
+    enumeration is row subsets outer, column subsets inner, with early exit
+    once the running gcd hits 1.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if k < 0 or k > min(rows, cols):
         raise ValueError(f"minor size {k} out of range for {rows}x{cols}")
+    var = matrix[0][0].var if rows and cols else "t"
     if k == 0:
-        return LaurentPoly.constant(1, matrix[0][0].var if rows and cols else "t")
+        return LaurentPoly.constant(1, var)
+    # a minor through an all-zero row or column vanishes: enumerate the rest
+    live_rows = [i for i, row in enumerate(matrix)
+                 if not all(e.is_zero() for e in row)]
+    live_cols = [j for j in range(cols)
+                 if not all(matrix[i][j].is_zero() for i in live_rows)]
+    if k > min(len(live_rows), len(live_cols)):
+        return LaurentPoly.zero(var)
     return laurent_gcd_many(
         bareiss_det([[matrix[i][j] for j in cset] for i in rset])
-        for rset in combinations(range(rows), k)
-        for cset in combinations(range(cols), k))
+        for rset in combinations(live_rows, k)
+        for cset in combinations(live_cols, k))
 
 
 def reduce_unit_pivots(matrix, k):

@@ -187,18 +187,10 @@ def _close(states, i, j, y_shift):
     return out
 
 
-def _times(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return out
-
-
 def _unpack(packed, c, bits):
-    """The exponent -> coefficient dict of the packed sum: balanced base
-    2^bits digits, 2c + 1 A-exponents per power of y, expanded by Horner
-    in y = -A - 2 - A^-1."""
+    """The polynomial in A of the packed sum: balanced base 2^bits digits,
+    2c + 1 A-exponents per power of y, expanded by Horner in
+    y = -A - 2 - A^-1."""
     rows = []
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     while packed:
@@ -211,11 +203,10 @@ def _unpack(packed, c, bits):
             if digit:
                 row[a] = digit
         rows.append(row)
-    total = {}
+    y = LaurentPoly({-1: -1, 0: -2, 1: -1}, VAR)
+    total = LaurentPoly.zero(VAR)
     for row in reversed(rows):
-        total = _times(total, {-1: -1, 0: -2, 1: -1})
-        for a, k in row.items():
-            total[a] = total.get(a, 0) + k
+        total = total * y + LaurentPoly(row, VAR)
     return total
 
 
@@ -268,8 +259,8 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
                 i, j = sorted((frontier.index(e), frontier.index(e ^ 1)))
                 states = _close(states, i, j, bits * (2 * c + 1))
                 del frontier[j], frontier[i]
-    total = _unpack(states.get((), 0), c, bits)
-    return LaurentPoly(_times(total, _sigma_power(d.free_loops)), VAR)
+    return (_unpack(states.get((), 0), c, bits)
+            * LaurentPoly(_sigma_power(d.free_loops), VAR))
 
 
 class YamadaResult(NamedTuple):

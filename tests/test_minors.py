@@ -1,7 +1,8 @@
 """The unit-pivot reduction over Z[t^+-1] against the exhaustive
 `minors_gcd`, and the invariant factors behind `integer_minors_gcd` against
 an exhaustive `_int_det` gcd over Z, on random matrices, the explicit 9x10
-matrix, the fixtures and seeded braid closures."""
+matrix, the fixtures and seeded braid closures; and `minors_gcd` on
+zero-padded matrices against a gcd over every minor."""
 
 import random
 from itertools import combinations
@@ -14,8 +15,9 @@ from sginv.alexander import (_int_det, alexander_polynomial,
                              build_alexander_matrix, gcd_of_minors,
                              graph_determinant, uniform_weights)
 from sginv.diagram import parse_document
-from sginv.laurent import (LaurentPoly, integer_minors_gcd, invariant_factors,
-                           minors_gcd, reduce_unit_pivots)
+from sginv.laurent import (LaurentPoly, bareiss_det, integer_minors_gcd,
+                           invariant_factors, laurent_gcd_many, minors_gcd,
+                           reduce_unit_pivots)
 
 from helpers import (balanced_theta_weights, nine_by_ten_matrix, random_laurent,
                      random_unit, read_fixture)
@@ -143,6 +145,46 @@ def test_degenerate_matrices():
             assert minors_gcd(*reduce_unit_pivots(m, k)) == minors_gcd(m, k), \
                 (trial, k)
         assert_integer_engine(at_minus_one(m), trial)
+
+
+def every_minor_gcd(matrix, k):
+    """laurent_gcd_many over every k x k minor, zero ones included (k > 0)."""
+    return laurent_gcd_many(
+        bareiss_det([[matrix[i][j] for j in cset] for i in rset])
+        for rset in combinations(range(len(matrix)), k)
+        for cset in combinations(range(len(matrix[0])), k))
+
+
+def pad_with_zeros(rng, m, extra_rows, extra_cols):
+    """m with all-zero rows and columns inserted at random places."""
+    zero = LaurentPoly.zero()
+    m = [list(row) for row in m]
+    for _ in range(extra_cols):
+        j = rng.randrange(len(m[0]) + 1)
+        for row in m:
+            row.insert(j, zero)
+    for _ in range(extra_rows):
+        m.insert(rng.randrange(len(m) + 1), [zero] * len(m[0]))
+    return m
+
+
+def test_zero_padded_matrices_keep_their_gcd():
+    """A minor through an all-zero row or column vanishes, so zero padding
+    leaves every minor gcd as it was, and gives 0 past the unpadded size."""
+    rng = random.Random(577)
+    zero, one = LaurentPoly.zero(), LaurentPoly.constant(1)
+    for trial in range(60):
+        rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
+        m = random_matrix(rng, rows, cols)
+        padded = pad_with_zeros(rng, m, rng.randrange(3), rng.randrange(3))
+        assert minors_gcd(padded, 0) == one
+        for k in range(1, min(len(padded), len(padded[0])) + 1):
+            assert minors_gcd(padded, k) == every_minor_gcd(padded, k), \
+                (trial, k)
+        big = pad_with_zeros(rng, m, 40, 40)
+        for k in range(1, min(rows, cols) + 1):
+            assert minors_gcd(big, k) == every_minor_gcd(m, k), (trial, k)
+        assert minors_gcd(big, min(rows, cols) + 1) == zero
 
 
 def test_nine_by_ten_matrix_against_exhaustive():
