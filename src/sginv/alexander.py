@@ -23,12 +23,14 @@ from .diagram import (Diagram, DiagramError, Partition, derive_edges,
                       require_valid, seg_to_edge_id, wirtinger_relations)
 from .laurent import (LaurentPoly, integer_minors_gcd, minors_gcd,
                       reduce_unit_pivots)
+# perfbench/tracer.py times the integer Bareiss under bareiss_det by this name
+from .laurent import integer_det as _int_det
 
 VAR = "t"
 
 # Refusal bound for gcd_of_minors: the exponent span of the reduced matrix
-# times the minor size, about the length of the dense coefficient lists
-# that Bareiss elimination and the gcd build.
+# times the minor size, about the number of base-2^bits digits in the
+# packed integers of bareiss_det and the length of the gcd's dense lists.
 MAX_DENSE_TERMS = 10 ** 5
 
 
@@ -146,33 +148,6 @@ def alexander_polynomial(d: Diagram, weights) -> LaurentPoly:
     m = build_alexander_matrix(d, weights)
     g = gcd_of_minors(m.rows, _minor_size(m.row_count, m.col_count))
     return g if g.is_zero() else g.normalize_units()
-
-
-def _int_det(m):
-    """Bareiss determinant of an integer matrix (exact).
-
-    On no CLI path: kept as the exhaustive integer oracle of
-    tests/test_minors.py, and because perfbench/tracer.py looks it up by
-    name."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for r in range(n - 1):
-        if m[r][r] == 0:
-            piv = next((i for i in range(r + 1, n) if m[i][r]), None)
-            if piv is None:
-                return 0
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                m[i][j] = (m[r][r] * m[i][j] - m[i][r] * m[r][j]) // prev
-            m[i][r] = 0
-        prev = m[r][r]
-    return sign * m[n - 1][n - 1]
 
 
 def graph_determinant(d: Diagram, weights) -> int:

@@ -205,7 +205,7 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Dense integer polynomials (internal helpers for gcd / determinants).
+# Dense integer polynomials (internal helpers for the gcd).
 # Representation: list of coefficients, index = exponent, trimmed, [] = 0.
 # ---------------------------------------------------------------------------
 
@@ -214,50 +214,10 @@ def _trim(p):
         p.pop()
     return p
 
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-def _poly_sub(p, q):
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _trim(out)
-
 def _poly_scale(p, c):
     if c == 0:
         return []
     return [a * c for a in p]
-
-def _poly_div_exact(p, d):
-    """Exact division in Z[x]; raises if the division is not exact."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    q = [0] * max(len(p) - len(d) + 1, 0)
-    dl = d[-1]
-    while len(r) >= len(d):
-        lead, rem = divmod(r[-1], dl)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        k = len(r) - len(d)
-        q[k] = lead
-        for i, c in enumerate(d):
-            r[k + i] -= lead * c
-        _trim(r)
-        if not r:
-            break
-    if r:
-        raise ArithmeticError("inexact polynomial division (nonzero remainder)")
-    return _trim(q)
 
 def _poly_content(p):
     g = 0
@@ -313,25 +273,20 @@ def _poly_gcd(p, q):
     return _poly_scale(pp, cont)
 
 
-def _to_dense(p, k=None):
-    """Dense coefficients of x^k * p, which must have no negative exponent;
-    k defaults to -min_degree, putting the lowest term at index 0.  Zero
-    maps to []."""
+def _to_dense(p):
+    """Dense coefficients of p with its lowest term at index 0; zero maps
+    to []."""
     if p.is_zero():
         return []
-    if k is None:
-        k = -p.min_degree
-    out = [0] * (p.max_degree + k + 1)
+    k = p.min_degree
+    out = [0] * (p.max_degree - k + 1)
     for e, c in p._c.items():
-        out[e + k] = c
+        out[e - k] = c
     return out
-
-def _from_dense(dense, shift, var):
-    return LaurentPoly({i + shift: c for i, c in enumerate(dense) if c}, var)
 
 
 # ---------------------------------------------------------------------------
-# Public gcd and determinant
+# Public gcd and determinants
 # ---------------------------------------------------------------------------
 
 def laurent_gcd(p, q):
@@ -347,7 +302,7 @@ def laurent_gcd(p, q):
     if q.is_zero():
         return p.normalize_units()
     g = _poly_gcd(_to_dense(p), _to_dense(q))
-    return _from_dense(g, 0, p.var).normalize_units()
+    return LaurentPoly(dict(enumerate(g)), p.var).normalize_units()
 
 
 def laurent_gcd_many(polys):
@@ -372,52 +327,54 @@ def laurent_gcd_many(polys):
     return acc
 
 
-def bareiss_det(matrix):
-    """Exact determinant of a square matrix of LaurentPoly entries.
+def from_packed(packed, bits, low, var):
+    """The Laurent polynomial whose coefficient of x^(low + k) is digit k of
+    the integer packed in balanced base 2^bits, each digit in
+    [-2^(bits-1), 2^(bits-1))."""
+    coeffs = {}
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    while packed:
+        digit = packed & mask
+        if digit >= half:
+            digit -= mask + 1
+        packed = (packed - digit) >> bits
+        if digit:
+            coeffs[low] = digit
+        low += 1
+    return LaurentPoly(coeffs, var)
 
-    Each row is first cleared to an ordinary polynomial row by pulling out
-    its most negative exponent; fraction-free (Bareiss) elimination then
-    runs entirely in Z[x], and the pulled-out unit is restored at the end.
+
+def bareiss_det(matrix):
+    """Exact determinant of a square matrix of LaurentPoly entries, by
+    Kronecker substitution (D. Harvey, 2009) into integer_det.
+
+    Each row is divided by its lowest power of x, leaving polynomials p,
+    and each p is packed as the integer p(2^bits).  Packing is a ring map,
+    so the integer determinant is the packed polynomial determinant.  The
+    coefficients of every minor are at most the product B of the rows'
+    absolute coefficient sums, and bits = B.bit_length() + 1 keeps them
+    inside one balanced digit: a nonzero minor never packs to 0, and the digits read
+    back the polynomial.  The pulled-out powers are restored at the end.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
     if n == 0:
-        var = "t"
-        return LaurentPoly.constant(1, var)
+        return LaurentPoly.constant(1, "t")
     var = matrix[0][0].var
-
-    shift_total = 0
-    m = []
+    lows = []
+    bound = 1
     for row in matrix:
-        mins = [e.min_degree for e in row if not e.is_zero()]
-        if not mins:
+        live = [p._c for p in row if not p.is_zero()]
+        if not live:
             return LaurentPoly.zero(var)
-        k = min(min(mins), 0)
-        shift_total += k
-        m.append([_to_dense(e, -k) for e in row])
-
-    sign = 1
-    prev = [1]
-    for r in range(n - 1):
-        if not m[r][r]:
-            pivot_row = next((i for i in range(r + 1, n) if m[i][r]), None)
-            if pivot_row is None:
-                return LaurentPoly.zero(var)
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = _poly_sub(_poly_mul(m[r][r], m[i][j]),
-                                _poly_mul(m[i][r], m[r][j]))
-                m[i][j] = _poly_div_exact(num, prev) if prev != [1] else num
-            m[i][r] = []
-        prev = m[r][r]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = _poly_scale(det, -1)
-    return _from_dense(det, shift_total, var)
+        lows.append(min(min(c) for c in live))
+        bound *= sum(abs(a) for c in live for a in c.values())
+    bits = bound.bit_length() + 1
+    packed = [[sum(a << bits * (e - low) for e, a in p._c.items())
+               for p in row] for row, low in zip(matrix, lows)]
+    return from_packed(integer_det(packed), bits, sum(lows), var)
 
 
 def minors_gcd(matrix, k):
@@ -536,3 +493,28 @@ def integer_minors_gcd(matrix, k):
     of its first k invariant factors, 0 when its rank is below k."""
     s = invariant_factors(matrix)
     return prod(s[:k]) if k <= len(s) else 0
+
+
+def integer_det(m):
+    """Determinant of an integer matrix by fraction-free elimination
+    (E. H. Bareiss, 1968): each entry after step r is an (r + 2)-minor, so
+    every division is exact."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for r in range(n - 1):
+        if m[r][r] == 0:
+            piv = next((i for i in range(r + 1, n) if m[i][r]), None)
+            if piv is None:
+                return 0
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                m[i][j] = (m[r][r] * m[i][j] - m[i][r] * m[r][j]) // prev
+            m[i][r] = 0
+        prev = m[r][r]
+    return sign * m[n - 1][n - 1]

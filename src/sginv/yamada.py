@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import graphs
 from .diagram import Diagram, DiagramError, require_valid, smoothing_pairs
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, from_packed
 
 VAR = "A"
 
@@ -188,25 +188,17 @@ def _close(states, i, j, y_shift):
 
 
 def _unpack(packed, c, bits):
-    """The polynomial in A of the packed sum: balanced base 2^bits digits,
-    2c + 1 A-exponents per power of y, expanded by Horner in
+    """The polynomial in A of the packed sum: its balanced base 2^bits
+    digits, 2c + 1 A-exponents per power of y, expanded by Horner in
     y = -A - 2 - A^-1."""
-    rows = []
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    while packed:
-        row = {}
-        for a in range(-c, c + 1):
-            digit = packed & mask
-            if digit >= half:
-                digit -= mask + 1
-            packed = (packed - digit) >> bits
-            if digit:
-                row[a] = digit
-        rows.append(row)
+    rows = {}
+    for index, coeff in from_packed(packed, bits, 0, VAR).terms():
+        k, a = divmod(index, 2 * c + 1)
+        rows.setdefault(k, {})[a - c] = coeff
     y = LaurentPoly({-1: -1, 0: -2, 1: -1}, VAR)
     total = LaurentPoly.zero(VAR)
-    for row in reversed(rows):
-        total = total * y + LaurentPoly(row, VAR)
+    for k in range(max(rows, default=0), -1, -1):
+        total = total * y + LaurentPoly(rows.get(k), VAR)
     return total
 
 

@@ -2,8 +2,9 @@
 diagram canonicalization and edge labels, balanced theta weights, the
 explicit 9x10 relation matrix, random polynomial generation (seeded; every
 test run is deterministic), and the Laurent divisibility, cofactor
-determinant, Laurent-route graph determinant, constant-coloring, flat
-Yamada state-sum and trial-division primality oracles.
+determinant (over Z and Z[t^+-1]), Laurent-route graph determinant,
+constant-coloring, flat Yamada state-sum and trial-division primality
+oracles.
 """
 
 import os
@@ -15,8 +16,7 @@ from sginv.alexander import build_alexander_matrix, check_balanced
 from sginv.diagram import (Diagram, DiagramError, Partition, parse_diagram,
                            require_valid, serialize, wirtinger_relations)
 from sginv.graphs import to_abstract_graph
-from sginv.laurent import (LaurentPoly, _poly_div_exact, _to_dense, minors_gcd,
-                           reduce_unit_pivots)
+from sginv.laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
 from sginv.yamada import VAR, eval_crossing_free
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -111,35 +111,33 @@ def nine_by_ten_matrix():
 
 
 def divides(p, q):
-    """True if p divides q exactly in the Laurent ring (p nonzero)."""
+    """True if p divides q exactly in the Laurent ring, by long division
+    from the top terms: q = p f needs span(q) >= span(p) and lead(p) to
+    divide lead(q), and then p must divide q minus p times f's top term."""
     if p.is_zero():
         return q.is_zero()
-    if q.is_zero():
-        return True
-    try:
-        _poly_div_exact(_to_dense(q), _to_dense(p))
-        return True
-    except ArithmeticError:
-        return False
+    top, low = p.max_degree, p.min_degree
+    lead = p.coeff(top)
+    while not q.is_zero():
+        f, rem = divmod(q.coeff(q.max_degree), lead)
+        if rem or q.max_degree - q.min_degree < top - low:
+            return False
+        q = q - p.shift(q.max_degree - top, f)
+    return True
 
 
 def cofactor_det(matrix):
-    """Determinant by cofactor expansion; the independent cross-check for
+    """Determinant by cofactor expansion along the first row, of integer or
+    LaurentPoly entries; the independent cross-check for integer_det and
     bareiss_det.  Exponential, keep inputs small."""
-    n = len(matrix)
-    var = matrix[0][0].var if n else "t"
-    if n == 0:
-        return LaurentPoly.constant(1, var)
-    if n == 1:
-        return matrix[0][0]
-    total = LaurentPoly.zero(var)
-    rest = matrix[1:]
-    for j in range(n):
-        if matrix[0][j].is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rest]
-        term = matrix[0][j] * cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
+    if not matrix:
+        return 1
+    total = 0 * matrix[0][0]
+    for j, entry in enumerate(matrix[0]):
+        if entry != 0:
+            term = entry * cofactor_det([row[:j] + row[j + 1:]
+                                         for row in matrix[1:]])
+            total = total + (-term if j % 2 else term)
     return total
 
 

@@ -1,12 +1,15 @@
 """Exact Laurent-polynomial arithmetic: ring axioms on random inputs, gcd
-properties, and the fraction-free determinant against a cofactor oracle."""
+properties, the balanced-digit decoding of packed integers, and the integer
+Bareiss determinant and the Laurent determinant built on it against a
+cofactor oracle."""
 
 import random
 
 import pytest
 
 from sginv.laurent import (LaurentPoly, VariableMismatch, bareiss_det,
-                           laurent_gcd, laurent_gcd_many, minors_gcd)
+                           from_packed, integer_det, laurent_gcd,
+                           laurent_gcd_many, minors_gcd)
 
 from helpers import cofactor_det, divides, random_laurent, random_unit
 
@@ -137,6 +140,110 @@ def test_bareiss_against_cofactor_oracle():
               for _ in range(n)] for _ in range(n)]
         assert bareiss_det(m) == cofactor_det(m)
     assert bareiss_det([]) == LaurentPoly.constant(1)
+
+
+def product_matrix(a, b):
+    """The product of an n x r and an r x m matrix, singular when r < n, m."""
+    return [[sum((x * y for x, y in zip(row, col)), 0 * row[0])
+             for col in zip(*b)] for row in a]
+
+
+def test_integer_det_against_cofactor_oracle():
+    """Sizes 0-7: dense and zero-rich matrices, a zero leading pivot (a row
+    swap), a zero leading column, and products through a narrower middle,
+    whose determinant is 0."""
+    rng = random.Random(1968)
+    for trial in range(400):
+        n = trial % 8
+        kind = trial // 8 % 5
+        pool = (range(-30, 31) if kind == 0
+                else (0, 0, 0, 0, 1, -1, 2, -3, 5, 7))
+        m = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if kind == 2 and n > 1:
+            m[0][0] = 0
+            m[rng.randrange(1, n)][0] = rng.choice((1, -4))
+        elif kind == 3 and n:
+            for row in m:
+                row[0] = 0
+        elif kind == 4 and n > 1:
+            r = rng.randrange(1, n)
+            m = product_matrix(
+                [[rng.randrange(-9, 10) for _ in range(r)] for _ in range(n)],
+                [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(r)])
+            assert integer_det(m) == 0, (trial, m)
+        assert integer_det(m) == cofactor_det(m), (trial, m)
+
+
+def random_row(rng, n):
+    """n entries of one of four shapes: short and small, coefficients up to
+    +-10^6 at exponents -40...40, positive exponents only, or monomials."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return [random_laurent(rng, max_terms=3, span=3, cmax=3)
+                for _ in range(n)]
+    if shape == 1:
+        return [random_laurent(rng, max_terms=3, span=40, cmax=10 ** 6)
+                for _ in range(n)]
+    if shape == 2:
+        return [LaurentPoly({rng.randrange(1, 41): rng.randrange(-50, 51)
+                             for _ in range(rng.randrange(3))})
+                for _ in range(n)]
+    return [LaurentPoly.monomial(rng.randrange(-10 ** 6, 10 ** 6 + 1),
+                                 rng.randrange(-40, 41)) if rng.random() < 0.4
+            else LaurentPoly.zero() for _ in range(n)]
+
+
+def test_bareiss_against_cofactor_oracle_at_the_bit_bound():
+    """Sizes 1-6 with every row shape of random_row; signed permutation
+    matrices of monomials, whose determinant reaches the coefficient bound
+    of bareiss_det; a zero row; and singular products."""
+    rng = random.Random(2009)
+    zero = LaurentPoly.zero()
+    for trial in range(420):
+        n = 1 + trial % 6
+        kind = trial // 6 % 5
+        if kind == 1:
+            perm = rng.sample(range(n), n)
+            m = [[LaurentPoly.monomial(rng.choice((1, -1))
+                                       * rng.randrange(1, 10 ** 6),
+                                       rng.randrange(-40, 41))
+                  if j == perm[i] else zero for j in range(n)]
+                 for i in range(n)]
+        elif kind == 4 and n > 1:
+            r = rng.randrange(1, n)
+            m = product_matrix([random_row(rng, r) for _ in range(n)],
+                               [random_row(rng, n) for _ in range(r)])
+        else:
+            m = [random_row(rng, n) for _ in range(n)]
+            if kind == 2:
+                m[rng.randrange(n)] = [zero] * n
+        det = bareiss_det(m)
+        assert det == cofactor_det(m), (trial, m)
+        if kind == 2 or kind == 4 and n > 1:
+            assert det.is_zero()
+
+
+def test_from_packed_round_trip():
+    """Balanced digits: a negative top digit, zero digits in the middle,
+    both ends of the digit range, and a nonzero lowest exponent."""
+    bits = 4
+    for low, p in ((-4, LaurentPoly({-4: 3, -1: -5, 1: -7}, "A")),
+                   (2, LaurentPoly({2: 7, 3: -8, 6: -8, 7: 1})),
+                   (5, LaurentPoly({5: -1, 9: -2}))):
+        packed = sum(c << bits * (e - low) for e, c in p.terms())
+        assert from_packed(packed, bits, low, p.var) == p
+    assert from_packed(0, bits, 3, "A") == LaurentPoly.zero("A")
+    rng = random.Random(68)
+    for _ in range(200):
+        bits = rng.randrange(2, 40)
+        half = 1 << (bits - 1)
+        p = LaurentPoly({e: rng.randrange(-half, half)
+                         for e in rng.sample(range(-20, 21), 6)})
+        if p.is_zero():
+            continue
+        low = p.min_degree
+        packed = sum(c << bits * (e - low) for e, c in p.terms())
+        assert from_packed(packed, bits, low, "t") == p
 
 
 def test_bareiss_multiplicativity_on_triangular():

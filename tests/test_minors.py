@@ -1,6 +1,6 @@
 """The unit-pivot reduction over Z[t^+-1] against the exhaustive
 `minors_gcd`, and the invariant factors behind `integer_minors_gcd` against
-an exhaustive `_int_det` gcd over Z, on random matrices, the explicit 9x10
+an exhaustive `integer_det` gcd over Z, on random matrices, the explicit 9x10
 matrix, the fixtures and seeded braid closures; and `minors_gcd` on
 zero-padded matrices against a gcd over every minor."""
 
@@ -11,13 +11,12 @@ from math import gcd
 import pytest
 
 from sginv import catalog
-from sginv.alexander import (_int_det, alexander_polynomial,
-                             build_alexander_matrix, gcd_of_minors,
-                             graph_determinant, uniform_weights)
+from sginv.alexander import (alexander_polynomial, build_alexander_matrix,
+                             gcd_of_minors, graph_determinant, uniform_weights)
 from sginv.diagram import parse_document
-from sginv.laurent import (LaurentPoly, bareiss_det, integer_minors_gcd,
-                           invariant_factors, laurent_gcd_many, minors_gcd,
-                           reduce_unit_pivots)
+from sginv.laurent import (LaurentPoly, bareiss_det, integer_det,
+                           integer_minors_gcd, invariant_factors,
+                           laurent_gcd_many, minors_gcd, reduce_unit_pivots)
 
 from helpers import (balanced_theta_weights, nine_by_ten_matrix, random_laurent,
                      random_unit, read_fixture)
@@ -30,8 +29,8 @@ def int_minors_gcd(matrix, k):
     g = 0
     for rset in combinations(range(rows), k):
         for cset in combinations(range(cols), k):
-            g = gcd(g, abs(_int_det([[matrix[i][j] for j in cset]
-                                     for i in rset])))
+            g = gcd(g, abs(integer_det([[matrix[i][j] for j in cset]
+                                        for i in rset])))
     return g
 
 
