@@ -330,18 +330,13 @@ def laurent_gcd_many(polys):
 def from_packed(packed, bits, low, var):
     """The Laurent polynomial whose coefficient of x^(low + k) is digit k of
     the integer packed in balanced base 2^bits, each digit in
-    [-2^(bits-1), 2^(bits-1))."""
-    coeffs = {}
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    while packed:
-        digit = packed & mask
-        if digit >= half:
-            digit -= mask + 1
-        packed = (packed - digit) >> bits
-        if digit:
-            coeffs[low] = digit
-        low += 1
-    return LaurentPoly(coeffs, var)
+    [-2^(bits-1), 2^(bits-1)).  Adding 2^(bits-1) to each of the n digits
+    makes every one a plain base 2^bits digit, so bin() of the sum is cut
+    into bits-wide fields, in time linear in the packed size."""
+    half, n = 1 << (bits - 1), (packed.bit_length() + 1) // bits + 1
+    text = bin(packed + int(bin(half)[2:] * n, 2))[2:].zfill(n * bits)
+    return LaurentPoly({low + n - 1 - k: int(text[k * bits:(k + 1) * bits], 2)
+                        - half for k in range(n)}, var)
 
 
 def bareiss_det(matrix):

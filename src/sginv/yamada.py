@@ -19,12 +19,14 @@ vertices and the crossings, in a greedy minimum-frontier order.  A state
 is the connectivity partition of the frontier: one cluster label per open
 segment end (segments with exactly one end processed), labels numbered by
 first occurrence.  A segment's keep/delete choice is made when its second
-end is reached.  Each state's polynomial in A and y is one packed int: the
-coefficient of A^a y^k is digit (a + c) + (2c + 1) k in base 2^bits, with
-c the number of crossings and bits wide enough for any coefficient.  So A
-and y are shifts, and the sum is unpacked once, at the end.  The cost is
-linear in the tiles for a bounded frontier; a diagram whose cost,
-estimated from the tile order, is above MAX_COST is refused.
+end is reached, in the pass that opens the tile, one state at a time; so
+the state dict holds only settled frontier partitions, which is what
+Bell(widest) bounds.  Each state's polynomial in A and y is one packed
+int: the coefficient of A^a y^k is digit (a + c) + (2c + 1) k in base
+2^bits, with c the number of crossings and bits wide enough for any
+coefficient.  So A and y are shifts, and the sum is unpacked once, at the
+end.  The cost is linear in the tiles for a bounded frontier; a diagram
+whose cost, estimated from the tile order, is above MAX_COST is refused.
 
 `eval_crossing_free` evaluates an abstract multigraph by the
 delete/contract axioms; the test suite uses it as an oracle.  The raw
@@ -163,28 +165,27 @@ def _tile_order(tiles):
                default=((0, 0, 0), []))
 
 
-def _close(states, i, j, y_shift):
-    """Decide the segment whose two ends are frontier entries i < j: keep
-    it (joining their clusters, a factor y if they were one already) or
-    delete it; then drop both entries, a factor -1 per cluster this
-    finishes.  When the segment is the last tie of one of two clusters,
-    deleting it finishes that cluster and keeping it does not, so the two
-    choices cancel."""
-    out = {}
-    get = out.get
-    for labels, v in states.items():
-        a, b = labels[i], labels[j]
-        rest = labels[:i] + labels[i + 1:j] + labels[j + 1:]
-        if a == b:
-            v += v << y_shift
-            key = _canon(rest)
-            out[key] = get(key, 0) + (v if a in rest else -v)
-        elif a in rest and b in rest:
-            key = _canon(rest)
-            out[key] = get(key, 0) + v
-            key = _canon([a if x == b else x for x in rest])
-            out[key] = get(key, 0) + v
-    return out
+def _close(labels, v, closes, y_shift, out):
+    """Decide each segment (i, j) of `closes`, i < j its ends' entries in
+    `labels`: keep it (a factor y if both ends are in one cluster, else join
+    the two) or delete it; drop both entries, a factor -1 per cluster this
+    finishes; add each result, canonicalized, to `out`.  For the last tie of
+    one of two clusters, deleting it finishes one and the choices cancel."""
+    work = [(labels, v)]
+    for i, j in closes:
+        done, work = work, []
+        for labels, v in done:
+            a, b = labels[i], labels[j]
+            rest = labels[:i] + labels[i + 1:j] + labels[j + 1:]
+            if a == b:
+                v += v << y_shift
+                work.append((rest, v if a in rest else -v))
+            elif a in rest and b in rest:
+                work.append((rest, v))
+                work.append((tuple([a if x == b else x for x in rest]), v))
+    for labels, v in work:
+        key = _canon(labels)
+        out[key] = out.get(key, 0) + v
 
 
 def _unpack(packed, c, bits):
@@ -221,9 +222,10 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
     # a coefficient counts at most 3^c * 2^(segments) choices
     bits = (3 ** c << segments).bit_length() + 1
     (widest, _, parts), order = _tile_order(tiles)
-    # Cost: tiles * Bell(widest) (a bound on the states) * bits per polynomial
-    # (2c + 1 digits per power of y, up to the tile graph's cycle rank).  Row k
-    # of the Bell triangle starts at Bell(k); grow it only under the limit.
+    # Cost: tiles * Bell(widest) (a bound on the settled frontier partitions,
+    # the only states the dict holds) * bits per polynomial (2c + 1 digits per
+    # power of y, up to the tile graph's cycle rank).  Row k of the Bell
+    # triangle starts at Bell(k); grow it only under the limit.
     unit = len(tiles) * bits * (2 * c + 1) * (segments - len(tiles) + parts + 1)
     row = [1]
     while len(row) <= widest and unit * row[0] <= MAX_COST:
@@ -237,20 +239,20 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
     frontier = []
     for t in order:
         ends, options = tiles[t]
-        opened = {}
-        get = opened.get
-        for labels, v in states.items():
-            m = len(set(labels))
-            for shift, nodes in options:
-                key = labels + tuple([m + k for k in nodes])
-                opened[key] = get(key, 0) + (v << bits * shift)
-        states = opened
         frontier += ends
+        closes = []
         for e in ends:
             if e in frontier and e ^ 1 in frontier:
                 i, j = sorted((frontier.index(e), frontier.index(e ^ 1)))
-                states = _close(states, i, j, bits * (2 * c + 1))
+                closes.append((i, j))
                 del frontier[j], frontier[i]
+        settled = {}
+        for labels, v in states.items():
+            m = len(set(labels))
+            for shift, nodes in options:
+                _close(labels + tuple([m + k for k in nodes]),
+                       v << bits * shift, closes, bits * (2 * c + 1), settled)
+        states = settled
     return (_unpack(states.get((), 0), c, bits)
             * LaurentPoly(_sigma_power(d.free_loops), VAR))
 

@@ -3,10 +3,11 @@ diagram canonicalization and edge labels, balanced theta weights, the
 explicit 9x10 relation matrix, random polynomial generation (seeded; every
 test run is deterministic), and the Laurent divisibility, cofactor
 determinant (over Z and Z[t^+-1]), Laurent-route graph determinant,
-constant-coloring, flat Yamada state-sum and trial-division primality
-oracles.
+constant-coloring, flat Yamada state-sum, two-pass Yamada transfer matrix
+and trial-division primality oracles, and the crossing-free grid diagram.
 """
 
+import json
 import os
 import random
 from itertools import product
@@ -17,7 +18,8 @@ from sginv.diagram import (Diagram, DiagramError, Partition, parse_diagram,
                            require_valid, serialize, wirtinger_relations)
 from sginv.graphs import to_abstract_graph
 from sginv.laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
-from sginv.yamada import VAR, eval_crossing_free
+from sginv.yamada import (VAR, _canon, _tile_order, _tiles, _unpack,
+                          eval_crossing_free, sigma)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -192,6 +194,72 @@ def flat_yamada(d: Diagram):
     for g, counts in exponents.items():
         total = total + LaurentPoly(counts, VAR) * eval_crossing_free(g, memo)
     return total
+
+
+def _close_all(states, i, j, y_shift):
+    """One close of `yamada._close`, applied to a whole dict of states."""
+    out = {}
+    get = out.get
+    for labels, v in states.items():
+        a, b = labels[i], labels[j]
+        rest = labels[:i] + labels[i + 1:j] + labels[j + 1:]
+        if a == b:
+            v += v << y_shift
+            key = _canon(rest)
+            out[key] = get(key, 0) + (v if a in rest else -v)
+        elif a in rest and b in rest:
+            key = _canon(rest)
+            out[key] = get(key, 0) + v
+            key = _canon([a if x == b else x for x in rest])
+            out[key] = get(key, 0) + v
+    return out
+
+
+def two_pass_yamada(d: Diagram):
+    """R(G) by the same frontier transfer matrix as `yamada_raw`, but with
+    each tile taken in two passes: every state is opened with every option
+    into one dict, which is then rebuilt once per segment the tile closes.
+    Same tiles, order and packing; no cost estimate."""
+    require_valid(d)
+    c = len(d.crossings)
+    tiles = _tiles(d)
+    bits = (3 ** c << len(d.segment_ids())).bit_length() + 1
+    _, order = _tile_order(tiles)
+    states = {(): 1}
+    frontier = []
+    for t in order:
+        ends, options = tiles[t]
+        opened = {}
+        get = opened.get
+        for labels, v in states.items():
+            m = len(set(labels))
+            for shift, nodes in options:
+                key = labels + tuple([m + k for k in nodes])
+                opened[key] = get(key, 0) + (v << bits * shift)
+        states = opened
+        frontier += ends
+        for e in ends:
+            if e in frontier and e ^ 1 in frontier:
+                i, j = sorted((frontier.index(e), frontier.index(e ^ 1)))
+                states = _close_all(states, i, j, bits * (2 * c + 1))
+                del frontier[j], frontier[i]
+    return _unpack(states.get((), 0), c, bits) * sigma() ** d.free_loops
+
+
+def grid_text(n):
+    """The crossing-free n x n grid graph as diagram JSON: vertex k = n i + j
+    sends segment 2k to its right neighbor and segment 2k + 1 to the one
+    below."""
+    vertices = []
+    for i in range(n):
+        for j in range(n):
+            k = n * i + j
+            slots = (([[2 * k, "out"]] if j + 1 < n else [])
+                     + ([[2 * (k - n) + 1, "in"]] if i else [])
+                     + ([[2 * (k - 1), "in"]] if j else [])
+                     + ([[2 * k + 1, "out"]] if i + 1 < n else []))
+            vertices.append({"id": k, "incident": slots})
+    return json.dumps({"vertices": vertices})
 
 
 def trial_division_is_prime(p):

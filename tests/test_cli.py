@@ -16,7 +16,7 @@ from sginv.diagram import Diagram, parse_document, serialize
 from sginv.laurent import LaurentPoly
 from sginv.moves import disjoint_union
 
-from helpers import fixture_path
+from helpers import fixture_path, grid_text as _grid
 
 CLI = [sys.executable, "-m", "sginv.cli"]
 
@@ -64,21 +64,6 @@ def test_yamada_normalized_json():
     assert json.loads(r.stdout)["yamada"] == \
         [[0, -1], [1, -1], [2, -1], [3, -1], [4, -1], [10, -1], [12, -1],
          [14, -1], [16, 1], [18, 1]]
-
-
-def _grid(n):
-    """The crossing-free n x n grid graph: vertex k = n i + j sends segment
-    2k to its right neighbor and segment 2k + 1 to the one below."""
-    vertices = []
-    for i in range(n):
-        for j in range(n):
-            k = n * i + j
-            slots = (([[2 * k, "out"]] if j + 1 < n else [])
-                     + ([[2 * (k - n) + 1, "in"]] if i else [])
-                     + ([[2 * (k - 1), "in"]] if j else [])
-                     + ([[2 * k + 1, "out"]] if i + 1 < n else []))
-            vertices.append({"id": k, "incident": slots})
-    return json.dumps({"vertices": vertices})
 
 
 def _assert_cost_refused(path, widest):

@@ -4,6 +4,7 @@ Bareiss determinant and the Laurent determinant built on it against a
 cofactor oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -244,6 +245,32 @@ def test_from_packed_round_trip():
         low = p.min_degree
         packed = sum(c << bits * (e - low) for e, c in p.terms())
         assert from_packed(packed, bits, low, "t") == p
+
+
+def _pack(digits, bits):
+    """The sum of digits[k] << bits * k, halving the list at each step so
+    that building a long packing stays fast."""
+    if len(digits) == 1:
+        return digits[0]
+    mid = len(digits) // 2
+    return (_pack(digits[:mid], bits)
+            + (_pack(digits[mid:], bits) << bits * mid))
+
+
+def test_from_packed_is_linear():
+    """10^5 balanced digits, both ends of the range among them, read back
+    in well under a second: the decode must not copy the packed integer
+    once per digit."""
+    rng = random.Random(10 ** 5)
+    bits = 48
+    half = 1 << (bits - 1)
+    digits = [rng.choice((-half, half - 1, 0, -1, rng.randrange(-half, half)))
+              for _ in range(10 ** 5)]
+    packed = _pack(digits, bits)
+    start = time.perf_counter()
+    got = from_packed(packed, bits, -7, "A")
+    assert time.perf_counter() - start < 1.0
+    assert got == LaurentPoly({k - 7: d for k, d in enumerate(digits)}, "A")
 
 
 def test_bareiss_multiplicativity_on_triangular():

@@ -1,7 +1,8 @@
 """Yamada polynomial: axioms on base cases, independent oracles (a
 non-memoized skein recursion, the flat state sum and the subset
-expansion), multiplicativity, move behavior, tabulated theta-curve
-values, and the refusal of a diagram whose estimated cost is too high."""
+expansion), the two-pass transfer matrix as a reference for the one-pass
+step, multiplicativity, move behavior, tabulated theta-curve values, and
+the refusal of a diagram whose estimated cost is too high."""
 
 import os
 import random
@@ -17,10 +18,11 @@ from sginv.graphs import (AbstractGraph, connected_components, contract_edge,
                           delete_edge, to_abstract_graph)
 from sginv.laurent import LaurentPoly
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, disjoint_union, mirror
-from sginv.yamada import (eval_crossing_free, sigma, yamada_normalized,
-                          yamada_raw)
+from sginv.yamada import (_sigma_power, eval_crossing_free, sigma,
+                          yamada_normalized, yamada_raw)
 
-from helpers import FIXTURE_DIR, flat_yamada, read_fixture, small_corpus
+from helpers import (FIXTURE_DIR, flat_yamada, grid_text, read_fixture,
+                     small_corpus, two_pass_yamada)
 
 A = LaurentPoly.monomial(1, 1, "A")
 A_inv = LaurentPoly.monomial(1, -1, "A")
@@ -125,6 +127,15 @@ def test_base_cases():
             assert yamada_raw(bouquet_diagram(n)) == expected
 
 
+def test_vertex_with_a_thousand_loops():
+    """B_1100: the one tile closes 1,100 segments, more than the
+    interpreter's default recursion depth, and its value is
+    -(-sigma)^1100 = -sigma^1100, read from the sigma powers that free
+    loops are checked against."""
+    k = 1100
+    assert -yamada_raw(bouquet_diagram(k)) == LaurentPoly(_sigma_power(k), "A")
+
+
 def test_free_loops_multiply_by_one_sigma_power():
     """k free loops, alone and beside the trefoil, against k repeated
     multiplications by sigma."""
@@ -185,6 +196,43 @@ def test_matches_flat_state_sum():
         corpus[f"{name}+{i}"] = d
     for name, d in corpus.items():
         assert yamada_raw(d) == flat_yamada(d), name
+
+
+def test_matches_two_pass_transfer_matrix():
+    """The one-pass step equals the two-pass one on every fixture under
+    the cost limit, K4-K6, crossing-free grids 2x2-7x7, 32 seeded closures
+    of 2-4 strands and up to 30 crossings, and seeded R1/R2 inflations."""
+    corpus = {}
+    for name in sorted(os.listdir(FIXTURE_DIR)):
+        try:
+            d = parse_diagram(read_fixture(name))
+            corpus[name] = (d, yamada_raw(d))
+        except DiagramError:
+            continue        # broken inputs, quandle tables and K7's refusal
+    for n in range(4, 7):
+        d = catalog.complete_graph_moment_curve(n)
+        corpus[f"k{n}"] = (d, yamada_raw(d))
+    for n in range(2, 8):
+        d = parse_diagram(grid_text(n))
+        corpus[f"grid{n}"] = (d, yamada_raw(d))
+    rng = random.Random(1995)
+    for i in range(32):
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 30))]
+        d = catalog.braid_closure(strands, word)
+        corpus[f"closure{i}"] = (d, yamada_raw(d))
+    bases = sorted(n for n, (d, _) in corpus.items()
+                   if len(d.crossings) <= 8 and len(d.segment_ids()) >= 2)
+    for i in range(16):
+        d = corpus[rng.choice(bases)][0]
+        s1, s2 = rng.sample(sorted(d.segment_ids()), 2)
+        d = apply_r2(d, s1, s2, rng.choice(R2_VARIANTS))
+        d = apply_r1(d, rng.choice(sorted(d.segment_ids())),
+                     rng.choice((1, -1)))
+        corpus[f"inflation{i}"] = (d, yamada_raw(d))
+    for name, (d, got) in corpus.items():
+        assert got == two_pass_yamada(d), name
 
 
 def test_eighteen_crossing_closure_moves():
