@@ -52,15 +52,28 @@ class Diagram(NamedTuple):
     free_loops: int = 0
 
     def segment_ids(self):
-        segs = set()
-        for v in self.vertices:
-            segs.update(s for s, _ in v.incident)
-        for c in self.crossings:
-            segs.update(c.slots().values())
-        return segs
+        return {s for _, s, _ in _slot_ends(self)}
 
     def is_empty(self):
         return not self.vertices and not self.crossings and self.free_loops == 0
+
+
+# a crossing's slots, heads before tails: the order of `validate`'s reports
+_CROSSING_SLOTS = ("over_in", "under_in", "over_out", "under_out")
+
+
+def _slot_ends(d: Diagram):
+    """Yield (slot, segment, "head"|"tail") for every vertex slot, then for
+    every crossing slot in `_CROSSING_SLOTS` order.  A slot is ("v", vid,
+    slot index) or ("c", crossing index, slot name); a vertex "in" slot and a
+    crossing *_in slot hold a head, every other slot a tail."""
+    for v in d.vertices:
+        for i, (s, direction) in enumerate(v.incident):
+            yield ("v", v.id, i), s, "head" if direction == "in" else "tail"
+    for i, c in enumerate(d.crossings):
+        for name in _CROSSING_SLOTS:
+            yield (("c", i, name), getattr(c, name),
+                   "head" if name.endswith("_in") else "tail")
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +98,12 @@ def validate(d: Diagram):
             issues.append(f"bad-sign crossing {c}")
 
     heads, tails = {}, {}
-    def attach(table, seg, where, kind):
-        if seg in table:
-            issues.append(f"double-{kind} s{seg} ({table[seg]} and {where})")
-        table[seg] = where
-
-    for v in d.vertices:
-        for i, (s, direction) in enumerate(v.incident):
-            if direction == "in":
-                attach(heads, s, f"v{v.id}[{i}]", "head")
-            else:
-                attach(tails, s, f"v{v.id}[{i}]", "tail")
-    for i, c in enumerate(d.crossings):
-        attach(heads, c.over_in, f"x{i}.over_in", "head")
-        attach(heads, c.under_in, f"x{i}.under_in", "head")
-        attach(tails, c.over_out, f"x{i}.over_out", "tail")
-        attach(tails, c.under_out, f"x{i}.under_out", "tail")
+    for (tag, owner, slot), s, kind in _slot_ends(d):
+        where = f"v{owner}[{slot}]" if tag == "v" else f"x{owner}.{slot}"
+        table = heads if kind == "head" else tails
+        if s in table:
+            issues.append(f"double-{kind} s{s} ({table[s]} and {where})")
+        table[s] = where
 
     for s in sorted(set(heads) | set(tails)):
         if s < 0:
@@ -336,43 +339,22 @@ def seg_to_edge_id(edges: Partition):
 # Move insertion
 # ---------------------------------------------------------------------------
 
-_CROSSING_SLOTS = ("over_in", "over_out", "under_in", "under_out")
-# the end kind a vertex direction or crossing slot holds, and back
-_KIND = {"in": "head", "out": "tail", "over_in": "head", "under_in": "head",
-         "over_out": "tail", "under_out": "tail"}
-_DIRECTION = {"head": "in", "tail": "out"}
-
-
 class Wiring:
-    """Mutable attachment structure behind Reidemeister move insertion: new
-    segments and crossings, and slots re-pointed from a replaced segment to
-    a new one.
+    """Slot table behind Reidemeister move insertion: new segments and
+    crossings, and slots re-pointed from a replaced segment to a new one.
 
-    Segment ends are addressed as (segment id, "head"|"tail").  Heads attach
-    at vertex "in" slots and crossing *_in slots; tails at "out" slots.
-
-    Index invariant: `_ends` maps every attached end to its slot, ("v", vid,
-    slot index) or ("c", cid, slot name), and holds no other key.  Slot
-    writes go through `_set` and crossings are added only by `new_crossing`,
-    so callers read `vertices` and `crossings` but never assign into them.
+    `_table` maps every slot to the end (segment id, "head"|"tail") it holds,
+    as `_slot_ends` reads them, and `_ends` is its inverse.  Slots are
+    re-pointed only by `replace_end` and added only by `new_crossing`; the
+    vertices keep their ids and directions.
     """
 
     def __init__(self, d: Diagram):
-        ends = {}
-        self.vertices = {}
-        for v in d.vertices:
-            self.vertices[v.id] = list(v.incident)
-            for i, (s, direction) in enumerate(v.incident):
-                ends[(s, _KIND[direction])] = ("v", v.id, i)
-        self.crossings = {}
-        for i, c in enumerate(d.crossings):
-            self.crossings[i] = {**c.slots(), "sign": c.sign}
-            for name in _CROSSING_SLOTS:
-                ends[(getattr(c, name), _KIND[name])] = ("c", i, name)
-        self._ends = ends
-        self.free_loops = d.free_loops
-        self._next_seg = max((s for s, _ in ends), default=-1) + 1
-        self._next_crossing = len(d.crossings)
+        self._d = d
+        self._table = {slot: (s, kind) for slot, s, kind in _slot_ends(d)}
+        self._ends = {end: slot for slot, end in self._table.items()}
+        self._signs = [c.sign for c in d.crossings]
+        self._next_seg = max((s for s, _ in self._ends), default=-1) + 1
 
     def new_segment(self):
         s = self._next_seg
@@ -380,13 +362,13 @@ class Wiring:
         return s
 
     def new_crossing(self, over_in, over_out, under_in, under_out, sign):
-        cid = self._next_crossing
-        self._next_crossing += 1
-        c = self.crossings[cid] = {"over_in": over_in, "over_out": over_out,
-                                   "under_in": under_in, "under_out": under_out,
-                                   "sign": sign}
-        for name in _CROSSING_SLOTS:
-            self._ends[(c[name], _KIND[name])] = ("c", cid, name)
+        cid = len(self._signs)
+        self._signs.append(sign)
+        c = Crossing(over_in=over_in, over_out=over_out, under_in=under_in,
+                     under_out=under_out, sign=sign)
+        for (_, _, name), s, kind in _slot_ends(Diagram(crossings=(c,))):
+            self._table[("c", cid, name)] = (s, kind)
+            self._ends[(s, kind)] = ("c", cid, name)
         return cid
 
     def find_end(self, seg, kind):
@@ -396,43 +378,26 @@ class Wiring:
         """
         return self._ends.get((seg, kind))
 
-    def _held(self, at):
-        """The end (seg, kind) held in slot `at`."""
-        tag, owner, slot = at
-        if tag == "v":
-            s, direction = self.vertices[owner][slot]
-            return s, _KIND[direction]
-        return self.crossings[owner][slot], _KIND[slot]
-
-    def _set(self, at, seg, kind):
-        """Put end (seg, kind) in slot `at`, replacing the end held there.
-
-        The only write into an existing slot.  The displaced end is dropped
-        from the index unless an earlier write already re-homed it.
-        """
-        old = self._held(at)
-        if self._ends.get(old) == at:
-            del self._ends[old]
-        tag, owner, slot = at
-        if tag == "v":
-            self.vertices[owner][slot] = (seg, _DIRECTION[kind])
-        else:
-            self.crossings[owner][slot] = seg
-        self._ends[(seg, kind)] = at
-
-    def _replace_end(self, attach, new_seg):
-        """Attach `new_seg` in slot `attach` (if any), keeping the slot's
-        head/tail kind."""
-        if attach is not None:
-            self._set(attach, new_seg, self._held(attach)[1])
+    def replace_end(self, at, new_seg):
+        """Attach `new_seg` in slot `at` (if any), keeping the slot's
+        head/tail kind; the displaced end leaves the index."""
+        if at is not None:
+            old_seg, kind = self._table[at]
+            del self._ends[(old_seg, kind)]
+            self._table[at] = (new_seg, kind)
+            self._ends[(new_seg, kind)] = at
 
     def to_diagram(self) -> Diagram:
-        vertices = tuple(VertexNode(vid, tuple(slots))
-                         for vid, slots in sorted(self.vertices.items()))
-        crossings = tuple(Crossing(c["over_in"], c["over_out"],
-                                   c["under_in"], c["under_out"], c["sign"])
-                          for _, c in sorted(self.crossings.items()))
-        return Diagram(vertices, crossings, self.free_loops)
+        table = self._table
+        vertices = tuple(
+            VertexNode(v.id, tuple((table[("v", v.id, i)][0], direction)
+                                   for i, (_, direction) in enumerate(v.incident)))
+            for v in sorted(self._d.vertices, key=lambda v: v.id))
+        crossings = tuple(
+            Crossing(sign=sign, **{name: table[("c", cid, name)][0]
+                                   for name in _CROSSING_SLOTS})
+            for cid, sign in enumerate(self._signs))
+        return Diagram(vertices, crossings, self._d.free_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +425,7 @@ def rejoin(d: Diagram, pairs):
     the new ones as they closed), the frozenset of the ids of the vertices
     whose slots were joined into it.
     """
-    incident = {v.id: v.incident for v in d.vertices}
-
-    def end(at):
-        tag, owner, slot = at
-        if tag == "v":
-            s, direction = incident[owner][slot]
-            return s, _KIND[direction]
-        return getattr(d.crossings[owner], slot), _KIND[slot]
-
+    ends = {slot: (s, kind) for slot, s, kind in _slot_ends(d)}
     cut = {(tag, owner) for pair in pairs for tag, owner, _ in pair}
     segs = d.segment_ids()
     strands, pieces = UnionFind(segs), UnionFind(segs)
@@ -510,13 +467,11 @@ def rejoin(d: Diagram, pairs):
         tags[p2] = carried
 
     for at1, at2 in pairs:
-        join(end(at1), end(at2), frozenset(
+        join(ends[at1], ends[at2], frozenset(
             owner for tag, owner, _ in (at1, at2) if tag == "v"))
     joined = {at for pair in pairs for at in pair}
-    for tag, owner in cut:
-        slots = range(len(incident[owner])) if tag == "v" else _CROSSING_SLOTS
-        dropped.update(strands.find(end((tag, owner, slot))[0])
-                       for slot in slots if (tag, owner, slot) not in joined)
+    dropped.update(strands.find(s) for at, (s, _) in ends.items()
+                   if at[:2] in cut and at not in joined)
 
     kept = []
     for i, c in enumerate(d.crossings):

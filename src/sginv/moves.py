@@ -31,8 +31,8 @@ def apply_r1_traced(d: Diagram, segment: int, chirality: int):
     tail_at = w.find_end(segment, "tail")
     head_at = w.find_end(segment, "head")
     p, q, r = w.new_segment(), w.new_segment(), w.new_segment()
-    w._replace_end(tail_at, p)
-    w._replace_end(head_at, r)
+    w.replace_end(tail_at, p)
+    w.replace_end(head_at, r)
     w.new_crossing(over_in=p, over_out=q, under_in=q, under_out=r,
                    sign=chirality)
     return w.to_diagram(), {p: segment, q: segment, r: segment}
@@ -70,10 +70,10 @@ def apply_r2_traced(d: Diagram, seg1: int, seg2: int, variant: str = "over+"):
     ends2 = (w.find_end(seg2, "tail"), w.find_end(seg2, "head"))
     a = [w.new_segment() for _ in range(3)]
     b = [w.new_segment() for _ in range(3)]
-    w._replace_end(ends1[0], a[0])
-    w._replace_end(ends1[1], a[2])
-    w._replace_end(ends2[0], b[0])
-    w._replace_end(ends2[1], b[2])
+    w.replace_end(ends1[0], a[0])
+    w.replace_end(ends1[1], a[2])
+    w.replace_end(ends2[0], b[0])
+    w.replace_end(ends2[1], b[2])
     over, under = (a, b) if over_first else (b, a)
     w.new_crossing(over_in=over[0], over_out=over[1],
                    under_in=under[0], under_out=under[1], sign=sign)

@@ -108,6 +108,23 @@ def test_validate_reports_wiring_violations():
     assert validate(Diagram((), (), -1))
 
 
+def test_validate_report_order():
+    # heads before tails within a crossing; a bad direction attaches a tail
+    d = Diagram((VertexNode(0, ((3, "in"), (4, "out"), (5, "sideways"))),),
+                (Crossing(over_in=0, over_out=4, under_in=3, under_out=5,
+                          sign=1),), 0)
+    assert validate(d) == [
+        "bad-direction v0 s5",
+        "double-head s3 (v0[0] and x0.under_in)",
+        "double-tail s4 (v0[1] and x0.over_out)",
+        "double-tail s5 (v0[2] and x0.under_out)",
+        "dangling-segment s0 (no tail attachment)",
+        "dangling-segment s3 (no tail attachment)",
+        "dangling-segment s4 (no head attachment)",
+        "dangling-segment s5 (no head attachment)",
+    ]
+
+
 def test_validate_accepts_corpus():
     for name, d in small_corpus().items():
         assert validate(d) == [], name
@@ -191,22 +208,23 @@ def test_resolve_rejects_bad_input():
 
 # -- the Wiring end index against a brute-force slot scan ---------------------
 
-def _scan_end(w, seg, kind):
-    """Oracle for Wiring.find_end: scan every vertex and crossing slot."""
+def _scan_end(d, seg, kind):
+    """Oracle for Wiring.find_end: scan every vertex and crossing slot of
+    the diagram the wiring reads back."""
     want = "in" if kind == "head" else "out"
-    for vid, slots in w.vertices.items():
-        for i, (s, direction) in enumerate(slots):
+    for v in d.vertices:
+        for i, (s, direction) in enumerate(v.incident):
             if s == seg and direction == want:
-                return ("v", vid, i)
+                return ("v", v.id, i)
     names = ("over_in", "under_in") if kind == "head" else ("over_out", "under_out")
-    for cid, c in w.crossings.items():
+    for cid, c in enumerate(d.crossings):
         for name in names:
-            if c[name] == seg:
+            if getattr(c, name) == seg:
                 return ("c", cid, name)
     return None
 
 
-_STEPS = ("__init__", "new_segment", "new_crossing", "_replace_end")
+_STEPS = ("__init__", "new_segment", "new_crossing", "replace_end")
 
 
 @pytest.fixture
@@ -216,14 +234,11 @@ def index_checked(monkeypatch):
     seen, steps = set(), []
 
     def check(w):
-        for slots in w.vertices.values():
-            seen.update(s for s, _ in slots)
-        for c in w.crossings.values():
-            seen.update(c[name] for name in ("over_in", "over_out",
-                                             "under_in", "under_out"))
+        d = w.to_diagram()
+        seen.update(d.segment_ids())
         for s in seen:
             for kind in ("head", "tail"):
-                assert w.find_end(s, kind) == _scan_end(w, s, kind), (s, kind)
+                assert w.find_end(s, kind) == _scan_end(d, s, kind), (s, kind)
 
     def checked(name, method):
         def wrapper(self, *args, **kwargs):
@@ -247,5 +262,5 @@ def test_end_index_through_move_insertion(index_checked):
         for s1, s2 in zip(segs, segs[1:]):
             for variant in R2_VARIANTS:
                 apply_r2(d, s1, s2, variant)
-    assert {"new_crossing", "_replace_end"} <= set(index_checked)
+    assert {"new_crossing", "replace_end"} <= set(index_checked)
 
