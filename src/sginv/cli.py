@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import alexander, constituents, diagram, quandle, yamada
@@ -171,7 +172,7 @@ def _cmd_constituents(args):
     out = sys.stdout
     out.write('{"constituents":[')
     sep = ""
-    for choice, family in zip(constituents.vertex_choices(d), families):
+    for choice, family in families:
         components, value = family
         if components or not args.drop_empty:
             if id(family) not in tails:
@@ -181,7 +182,7 @@ def _cmd_constituents(args):
                       + ",".join(f"[{vid},[{a},{b}]]" for vid, (a, b) in choice)
                       + "]," + tails[id(family)])
             sep = ","
-    values = sorted((value for components, value in families
+    values = sorted((value for _, (components, value) in families
                      if components or not args.drop_empty),
                     key=lambda v: (str(v), repr(v)))
     out.write('],"multiset":' + _dump(values) + "}\n")
@@ -216,7 +217,11 @@ def _int_flag(ok, message):
         try:
             n = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+            limit = sys.get_int_max_str_digits()
+            raise argparse.ArgumentTypeError(
+                f"the value has over {limit} digits, the limit of int from str"
+                if sum(map(str.isdigit, text)) > limit
+                else f"{text!r} is not an integer") from None
         try:
             good = ok(n)
         except ValueError as exc:
@@ -309,7 +314,13 @@ def run(argv=None):
 
 
 def main(argv=None):
-    return run(argv)
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:    # the reader closed stdout; discard the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -43,14 +43,14 @@ class ConstituentLink(NamedTuple):
 
 
 def _choice_space(d: Diagram):
-    vids = sorted(v.id for v in d.vertices)
-    slot_pairs = []
-    degree = {v.id: len(v.incident) for v in d.vertices}
-    for vid in vids:
-        if degree[vid] < 2:
-            raise DiagramError(f"vertex v{vid} has degree {degree[vid]} < 2")
-        slot_pairs.append(list(combinations(range(degree[vid]), 2)))
-    return vids, slot_pairs
+    """Per vertex, in id order, its options (vertex id, (slot, slot))."""
+    space = []
+    for v in sorted(d.vertices, key=lambda v: v.id):
+        degree = len(v.incident)
+        if degree < 2:
+            raise DiagramError(f"vertex v{v.id} has degree {degree} < 2")
+        space.append([(v.id, pair) for pair in combinations(range(degree), 2)])
+    return space
 
 
 def _edge_ends(d: Diagram):
@@ -69,8 +69,7 @@ def _edge_ends(d: Diagram):
 def _extract(d: Diagram, choice) -> ConstituentLink:
     """Apply a vertex choice: join the chosen pair through each vertex,
     delete open strands, splice surviving strands through lost crossings."""
-    link, comps = rejoin(d, [(("v", vid, i), ("v", vid, j))
-                             for vid, (i, j) in choice])
+    link, comps = rejoin(d, choice)
     assert not link.vertices, "a vertex survived extraction"
     return ConstituentLink(link, tuple(choice), len(comps), comps)
 
@@ -81,12 +80,12 @@ def vertex_choices(d: Diagram):
     C(deg, 2); above MAX_CHOICES the diagram is refused (DiagramError)
     before the first choice."""
     require_valid(d)
-    vids, slot_pairs = _choice_space(d)
-    choices = prod(map(len, slot_pairs))
+    space = _choice_space(d)
+    choices = prod(map(len, space))
     if choices > MAX_CHOICES:
         raise DiagramError(f"diagram has {choices} constituent choices, above "
                            f"the limit of {MAX_CHOICES}")
-    return (tuple(zip(vids, combo)) for combo in product(*slot_pairs))
+    return product(*space)
 
 
 def enumerate_constituents(d: Diagram):
@@ -143,12 +142,12 @@ def _fingerprint_value(link: Diagram, inv: str):
 
 def constituent_families(d: Diagram, inv: str):
     """Per vertex choice of `vertex_choices`, in its order, the pair
-    (components, value): the number of closed components of the choice's
-    link and the link's `inv` fingerprint, weight 1 everywhere for the
-    Alexander-based invariants.
+    (choice, (components, value)): the number of closed components of the
+    choice's link and the link's `inv` fingerprint, weight 1 everywhere for
+    the Alexander-based invariants.
 
     The first choice of each cycle family is extracted and fingerprinted;
-    every later choice of the family yields the same pair."""
+    every later choice of the family shares its pair."""
     choices = vertex_choices(d)
     mate = {}
     for edge, (a, b) in _edge_ends(d)[1].items():
@@ -161,14 +160,14 @@ def constituent_families(d: Diagram, inv: str):
             link = _extract(d, choice)
             family = memo[key] = (link.components,
                                   _fingerprint_value(link.diagram, inv))
-        yield family
+        yield choice, family
 
 
 def constituent_fingerprint(d: Diagram, inv: str):
     """Sorted multiset of the invariant values of the nonempty members of
     T(G); weight 1 everywhere for the Alexander-based invariants."""
-    return sorted(value for components, value in constituent_families(d, inv)
-                  if components)
+    return sorted(value for _, (components, value)
+                  in constituent_families(d, inv) if components)
 
 
 def _hamiltonian_cycles(ends):

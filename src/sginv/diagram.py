@@ -6,10 +6,11 @@ touch nothing).  Every segment id occurs exactly once as a tail attachment
 (vertex "out" slot, crossing over_out/under_out) and exactly once as a head
 attachment (vertex "in" slot, crossing over_in/under_in).
 
-No planar embedding is stored.  The planar cyclic order of the four ends of
-a crossing is derived from its slots and sign: counterclockwise
-(over_in, under_out, over_out, under_in) for sign +1 and
-(over_in, under_in, over_out, under_out) for sign -1.
+No planar embedding is stored.  `Crossing.ccw_slots` derives the planar
+cyclic order of the four ends of a crossing from its slots and sign:
+counterclockwise (over_in, under_out, over_out, under_in) for sign +1 and
+(over_in, under_in, over_out, under_out) for sign -1.  The smoothings,
+`SMOOTHINGS`, are pairs of positions in that order.
 """
 
 from __future__ import annotations
@@ -30,15 +31,17 @@ class Crossing(NamedTuple):
     under_out: int
     sign: int
 
-    def slots(self):
-        return {"over_in": self.over_in, "over_out": self.over_out,
-                "under_in": self.under_in, "under_out": self.under_out}
-
     def ccw_slots(self):
         """Slot names in counterclockwise planar order, starting at over_in."""
         if self.sign == 1:
             return ("over_in", "under_out", "over_out", "under_in")
         return ("over_in", "under_in", "over_out", "under_out")
+
+
+# The positions in `Crossing.ccw_slots()` that the A- and B-smoothings join.
+# A keeps the orientation exactly at sign +1, so a chirality-(+1) kink gives
+# an exact A^2 factor to the Yamada polynomial.
+SMOOTHINGS = {"A": ((0, 1), (2, 3)), "B": ((1, 2), (3, 0))}
 
 
 class VertexNode(NamedTuple):
@@ -404,19 +407,20 @@ class Wiring:
 # Cutting and rejoining
 # ---------------------------------------------------------------------------
 
-def rejoin(d: Diagram, pairs):
-    """Cut out every vertex and crossing a pair names and join the freed
-    ends pair by pair.
+def rejoin(d: Diagram, choice):
+    """Apply a vertex choice: cut out every vertex the choice names and join
+    its chosen slots pair by pair.
 
-    `pairs` is a sequence of slot pairs; a slot is ("v", vid, slot index)
-    or ("c", crossing index, slot name).  Segments form *strands* through
-    the kept crossing levels and the joins, and *pieces*, the segments of
-    the result, through the joins alone.  Joining two ends of one kind first
-    reverses the strand of the second end: its vertex directions flip, its
-    crossing levels swap in and out, and each reversed level flips the sign
-    of its crossing once.  A join closing a piece on itself makes a free
-    loop; every other join gives the joined piece a fresh segment id.  Then
-    each strand still holding an unjoined freed end is dropped, and a
+    `choice` is ((vertex id, (slot index, slot index)), ...), the form
+    `constituents.vertex_choices` yields; a vertex may be named more than
+    once, one pair each time.  Segments form *strands* through the
+    crossings and the joins, and *pieces*, the segments of the result,
+    through the joins alone.  Joining two ends of one kind first reverses
+    the strand of the second end: its vertex directions flip, its crossing
+    levels swap in and out, and each reversed level flips the sign of its
+    crossing once.  A join closing a piece on itself makes a free loop;
+    every other join gives the joined piece a fresh segment id.  Then each
+    strand still holding an unjoined slot of a cut vertex is dropped, and a
     crossing with one dropped level is spliced out, its other level passing
     through.
 
@@ -425,8 +429,8 @@ def rejoin(d: Diagram, pairs):
     the new ones as they closed), the frozenset of the ids of the vertices
     whose slots were joined into it.
     """
-    ends = {slot: (s, kind) for slot, s, kind in _slot_ends(d)}
-    cut = {(tag, owner) for pair in pairs for tag, owner, _ in pair}
+    ends = {at[1:]: (s, kind) for at, s, kind in _slot_ends(d) if at[0] == "v"}
+    cut = {vid for vid, _ in choice}
     segs = d.segment_ids()
     strands, pieces = UnionFind(segs), UnionFind(segs)
     members = {s: [s] for s in segs}    # strand root -> its segments
@@ -437,10 +441,9 @@ def rejoin(d: Diagram, pairs):
             strands.union(a, b)
             members[b] += members.pop(a)
 
-    for i, c in enumerate(d.crossings):
-        if ("c", i) not in cut:
-            link(c.over_in, c.over_out)
-            link(c.under_in, c.under_out)
+    for c in d.crossings:
+        link(c.over_in, c.over_out)
+        link(c.under_in, c.under_out)
     flipped = set()    # segments running against their input orientation
     label = {}         # joined piece root -> its fresh segment id
     tags = {}          # piece root -> vertex ids joined into it
@@ -466,17 +469,14 @@ def rejoin(d: Diagram, pairs):
         label[p2] = next(fresh)
         tags[p2] = carried
 
-    for at1, at2 in pairs:
-        join(ends[at1], ends[at2], frozenset(
-            owner for tag, owner, _ in (at1, at2) if tag == "v"))
-    joined = {at for pair in pairs for at in pair}
+    for vid, (i, j) in choice:
+        join(ends[vid, i], ends[vid, j], frozenset((vid,)))
+    joined = {(vid, i) for vid, pair in choice for i in pair}
     dropped.update(strands.find(s) for at, (s, _) in ends.items()
-                   if at[:2] in cut and at not in joined)
+                   if at[0] in cut and at not in joined)
 
     kept = []
-    for i, c in enumerate(d.crossings):
-        if ("c", i) in cut:
-            continue
+    for c in d.crossings:
         over_dead = strands.find(c.over_in) in dropped
         under_dead = strands.find(c.under_in) in dropped
         if over_dead != under_dead:
@@ -503,7 +503,7 @@ def rejoin(d: Diagram, pairs):
              "out" if direction == "in" else "in")
             for s, direction in v.incident))
         for v in sorted(d.vertices, key=lambda v: v.id)
-        if ("v", v.id) not in cut)
+        if v.id not in cut)
 
     components = {}    # strand root -> tags, by least segment id
     for s in sorted(segs, key=seg.get):
@@ -518,41 +518,24 @@ def rejoin(d: Diagram, pairs):
 # Crossing resolution
 # ---------------------------------------------------------------------------
 
-def smoothing_pairs(sign, mode):
-    """Slot-name pairs joined by the A- or B-smoothing of a crossing.
-
-    The orientation-coherent smoothing joins over_in->under_out and
-    under_in->over_out; the other adjacent pairing in the planar cyclic
-    order reverses one strand.  The A-smoothing is the coherent one exactly
-    when sign = +1: this calibration makes a chirality-(+1) kink contribute
-    an exact A^2 factor to the Yamada polynomial.
-    """
-    if (mode == "A") == (sign == 1):
-        return (("over_in", "under_out"), ("under_in", "over_out"))
-    if sign == 1:
-        return (("under_out", "over_out"), ("under_in", "over_in"))
-    return (("over_in", "under_in"), ("over_out", "under_out"))
-
-
 def resolve_crossing(d: Diagram, idx: int, mode: str) -> Diagram:
     """Replace crossing `idx` by one of its three resolutions.
 
-    mode "V" installs a rigid 4-valent vertex in the crossing's planar
-    cyclic order.  Modes "A" and "B" are the two planar smoothings of
-    `smoothing_pairs`.
+    mode "V" installs a rigid 4-valent vertex, after the diagram's own, in
+    the crossing's planar cyclic order.  Modes "A" and "B" apply the
+    smoothing's pairs of `SMOOTHINGS` at that vertex as a vertex choice.
     """
     if not 0 <= idx < len(d.crossings):
         raise IndexError(f"crossing index {idx} out of range")
     if mode not in ("A", "B", "V"):
         raise ValueError(f"unknown resolution mode {mode!r}")
     c = d.crossings[idx]
+    incident = tuple((getattr(c, name), name.partition("_")[2])
+                     for name in c.ccw_slots())  # "over_in" -> "in"
+    vid = max((v.id for v in d.vertices), default=-1) + 1
+    vertices = tuple(sorted(d.vertices, key=lambda v: v.id))  # as rejoin's
+    rigid = Diagram(vertices + (VertexNode(vid, incident),),
+                    d.crossings[:idx] + d.crossings[idx + 1:], d.free_loops)
     if mode == "V":
-        # vertices in id order, as rejoin leaves them
-        incident = tuple((getattr(c, name), name.partition("_")[2])
-                         for name in c.ccw_slots())  # "over_in" -> "in"
-        vid = max((v.id for v in d.vertices), default=-1) + 1
-        vertices = tuple(sorted(d.vertices, key=lambda v: v.id))
-        return Diagram(vertices + (VertexNode(vid, incident),),
-                       d.crossings[:idx] + d.crossings[idx + 1:], d.free_loops)
-    return rejoin(d, [(("c", idx, a), ("c", idx, b))
-                      for a, b in smoothing_pairs(c.sign, mode)])[0]
+        return rigid
+    return rejoin(rigid, [(vid, pair) for pair in SMOOTHINGS[mode]])[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple
 
-from .diagram import Diagram, DiagramError, UnionFind, smoothing_pairs
+from .diagram import SMOOTHINGS, Diagram, DiagramError, UnionFind
 
 
 class AbstractGraph(NamedTuple):
@@ -30,7 +30,7 @@ class AbstractGraph(NamedTuple):
 def to_abstract_graph(d: Diagram, state=()) -> AbstractGraph:
     """The crossing-free residue of `d` in one crossing state (the default
     fits crossing-free diagrams): "A"/"B" at state[i] joins the slots of
-    crossing i as `smoothing_pairs` says, "V" makes it a 4-valent vertex
+    crossing i as `SMOOTHINGS` says, "V" makes it a 4-valent vertex
     after the diagram's own (in id order).  A class of the union-find over
     segments is an edge if it has two vertex ends, else a free loop."""
     if len(state) != len(d.crossings) or not set(state) <= {"A", "B", "V"}:
@@ -44,8 +44,9 @@ def to_abstract_graph(d: Diagram, state=()) -> AbstractGraph:
         if mode == "V":
             ends.append([c.over_in, c.over_out, c.under_in, c.under_out])
         else:
-            for a, b in smoothing_pairs(c.sign, mode):
-                uf.union(getattr(c, a), getattr(c, b))
+            ccw = c.ccw_slots()
+            for a, b in SMOOTHINGS[mode]:
+                uf.union(getattr(c, ccw[a]), getattr(c, ccw[b]))
     attached = {}
     for i, vertex_segs in enumerate(ends):
         for s in vertex_segs:

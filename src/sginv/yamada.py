@@ -40,7 +40,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from . import graphs
-from .diagram import Diagram, DiagramError, require_valid, smoothing_pairs
+from .diagram import SMOOTHINGS, Diagram, DiagramError, require_valid
 from .laurent import LaurentPoly, from_packed
 
 VAR = "A"
@@ -91,21 +91,26 @@ def _canon(labels):
     return tuple([seen.setdefault(x, len(seen)) for x in labels])
 
 
+_TILE_SLOTS = ("over_in", "over_out", "under_in", "under_out")
+
+
 def _tiles(d: Diagram):
     """Per vertex, then per crossing: its segment ends in slot order (2s for
-    the tail of segment s, 2s + 1 for its head) and its options, each an
-    A-exponent shifted by +1 per crossing and the node index of every slot."""
+    the tail of segment s, 2s + 1 for its head), `_TILE_SLOTS` at a crossing,
+    and its options, each an A-exponent shifted by +1 per crossing and the
+    node index of every slot."""
     tiles = [(tuple(2 * s + (direction == "in") for s, direction in v.incident),
               ((0, (0,) * len(v.incident)),))
              for v in d.vertices]
     for c in d.crossings:
-        slots = c.slots()
-        ends = tuple(2 * s + name.endswith("_in") for name, s in slots.items())
+        ends = tuple(2 * getattr(c, name) + name.endswith("_in")
+                     for name in _TILE_SLOTS)
+        ccw = c.ccw_slots()
         options = [(1, (0, 0, 0, 0))]
         for shift, mode in ((2, "A"), (0, "B")):
-            node = {slot: i for i, pair in enumerate(smoothing_pairs(c.sign, mode))
-                    for slot in pair}
-            options.append((shift, _canon(node[slot] for slot in slots)))
+            node = {ccw[at]: i for i, pair in enumerate(SMOOTHINGS[mode])
+                    for at in pair}
+            options.append((shift, _canon(node[name] for name in _TILE_SLOTS)))
         tiles.append((ends, tuple(options)))
     return tiles
 

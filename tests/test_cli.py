@@ -312,6 +312,21 @@ def test_colorings_count_above_the_digit_limit():
         assert str(sys.get_int_max_str_digits()).encode() in r.stderr, flags
 
 
+@pytest.mark.parametrize("subcommand, flag", [("colorings", "--dihedral"),
+                                              ("colorings", "--trivial"),
+                                              ("pcolor", "--p")])
+def test_overlong_integer_flag(subcommand, flag):
+    """An integer flag with more digits than int() reads is an input error
+    that names the digit limit and does not echo the value."""
+    value = "7" * 5000
+    r = run_cli(subcommand, fixture_path("trefoil.json"), flag, value,
+                timeout=10)
+    assert r.returncode == 2 and r.stdout == b""
+    assert b"7" * 100 not in r.stderr and len(r.stderr) < 1000
+    assert (f"{flag}: the value has over {sys.get_int_max_str_digits()} "
+            f"digits".encode() in r.stderr)
+
+
 def test_pcolor_primality_limit():
     """The least strong pseudoprime to the bases 2..37 is refused as not
     prime; at the limit of the exact test the flag is refused as well."""
@@ -386,6 +401,20 @@ def test_constituents_k5_listing(tmp_path):
     listing = _peak_rss_kb(*args)
     validate = _peak_rss_kb("validate", str(path))
     assert listing - validate <= 4 * 1024, (listing, validate)
+
+
+def test_closed_stdout_pipe():
+    """A reader that closes stdout early ends the CLI with exit code 1 and
+    nothing on stderr: K5's listing (746,528 bytes) is far above a pipe
+    buffer, so the CLI is still writing when the pipe closes."""
+    p = subprocess.Popen(CLI + ["constituents", fixture_path("k5.json"),
+                                "--invariant", "determinant"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(p.stdout.read(100)) == 100
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_constituents_document():

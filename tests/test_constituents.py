@@ -129,15 +129,14 @@ def _inflated_k4():
     ("k4+3R2", _inflated_k4(), 300),
 ])
 def test_extraction_matches_cycle_oracle(name, d, samples):
-    vids, slot_pairs = _choice_space(d)
+    space = _choice_space(d)
     if samples is None:
-        choices = product(*slot_pairs)
+        choices = product(*space)
     else:
         rng = random.Random(name)
-        choices = ([rng.choice(pairs) for pairs in slot_pairs]
+        choices = (tuple(rng.choice(options) for options in space)
                    for _ in range(samples))
-    for combo in choices:
-        choice = tuple(zip(vids, combo))
+    for choice in choices:
         link = _extract(d, choice)
         expected = _cycle_components(d, choice)
         assert validate(link.diagram) == [], choice
@@ -160,7 +159,8 @@ def test_families_match_per_choice_extraction(name, d, invariants):
     fingerprint that extracting the choice itself gives."""
     members = enumerate_constituents(d)
     for inv in invariants:
-        expected = [(m.components, _fingerprint_value(m.diagram, inv))
+        expected = [(m.choice,
+                     (m.components, _fingerprint_value(m.diagram, inv)))
                     for m in members]
         assert list(constituent_families(d, inv)) == expected, inv
 

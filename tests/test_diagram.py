@@ -11,7 +11,7 @@ from sginv.diagram import (Crossing, Diagram, DiagramError, VertexNode, Wiring,
                            derive_arcs, derive_edges, parse_diagram,
                            parse_document, resolve_crossing, seg_to_edge_id,
                            serialize, validate)
-from sginv.moves import R2_VARIANTS, apply_r1, apply_r2
+from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, mirror
 
 from helpers import canonicalize, edge_ids, read_fixture, small_corpus
 
@@ -189,6 +189,24 @@ def test_resolve_kink_smoothings():
         # the circle-splitting smoothing is the A-state for a positive kink
         splitting = "A" if chirality == 1 else "B"
         assert results[splitting].free_loops == 2
+
+
+def test_coherent_smoothing_splits_a_knot():
+    """At every crossing of a knot, the smoothing that keeps the orientation
+    (A at sign +1, B at sign -1) leaves two closed components, the other
+    smoothing one."""
+    knots = {"trefoil": catalog.trefoil(),
+             "mirror trefoil": mirror(catalog.trefoil()),
+             "figure eight": catalog.figure_eight(),
+             "5_2": catalog.knot_5_2(), "torus 2,5": catalog.torus_2_5()}
+    for name, d in knots.items():
+        for idx, c in enumerate(d.crossings):
+            coherent = "A" if c.sign == 1 else "B"
+            for mode in "AB":
+                r = resolve_crossing(d, idx, mode)
+                components = sum(derive_edges(r).is_closed) + r.free_loops
+                assert components == (2 if mode == coherent else 1), \
+                    (name, idx, mode)
 
 
 def test_resolve_v_mode_cyclic_order():
