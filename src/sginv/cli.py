@@ -73,11 +73,13 @@ def _parse_weight_flags(pairs):
     for raw in pairs or []:
         eid, sep, value = raw.partition("=")
         if not sep or not eid.startswith("e"):
-            raise CliError(2, f"bad --weight {raw!r}; expected e<k>=<int>")
+            raise CliError(2, f"bad --weight {raw!r:.40}; expected e<k>=<int>")
         try:
             out[eid] = int(value)
         except ValueError:
-            raise CliError(2, f"bad --weight {raw!r}; expected e<k>=<int>") from None
+            raise CliError(2, f"bad --weight {raw!r:.40}; "
+                              + (_over_digit_limit(value)
+                                 or "expected e<k>=<int>")) from None
     return out
 
 
@@ -210,6 +212,14 @@ def _cmd_cg(args):
 
 # -- parser -----------------------------------------------------------------
 
+def _over_digit_limit(text):
+    """Why int() refused `text` if it has too many digits, else None."""
+    limit = sys.get_int_max_str_digits()
+    if sum(map(str.isdigit, text)) > limit:
+        return f"the value has over {limit} digits, the limit of int from str"
+    return None
+
+
 def _int_flag(ok, message):
     """An argparse type: an integer n with ok(n), else message.format(n),
     or the message of a ValueError that ok(n) raises."""
@@ -217,11 +227,8 @@ def _int_flag(ok, message):
         try:
             n = int(text)
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise argparse.ArgumentTypeError(
-                f"the value has over {limit} digits, the limit of int from str"
-                if sum(map(str.isdigit, text)) > limit
-                else f"{text!r} is not an integer") from None
+            reason = _over_digit_limit(text) or f"{text!r} is not an integer"
+            raise argparse.ArgumentTypeError(reason) from None
         try:
             good = ok(n)
         except ValueError as exc:

@@ -10,9 +10,11 @@ y = -A - 2 - A^-1, with mu(F) the number of components of (V, F) and
 beta(F) its cycle rank; each free loop is a factor sigma = A + 1 + A^-1.
 Subdividing an edge does not change R(G), so every segment of the diagram
 is an edge on its own, and an A/B-smoothed crossing is two nodes of degree
-2.  Every weight is then local: A^(+1/-1/0) per A/B/V crossing, y per kept
-segment joining two ends already in one cluster, and -1 per cluster once
-no open segment still touches it.
+2.  A kept segment joining two ends already in one cluster is worth y,
+and its deleted copy 1, so the two together are worth 1 + y = -sigma.
+Every weight is then local: A^(+1/-1/0) per A/B/V crossing, -sigma per
+segment that closes a cycle, and -1 per cluster once no open segment
+still touches it.
 
 `yamada_raw` sums this as a transfer matrix over the *tiles*, the rigid
 vertices and the crossings, in a greedy minimum-frontier order.  A state
@@ -21,12 +23,15 @@ segment end (segments with exactly one end processed), labels numbered by
 first occurrence.  A segment's keep/delete choice is made when its second
 end is reached, in the pass that opens the tile, one state at a time; so
 the state dict holds only settled frontier partitions, which is what
-Bell(widest) bounds.  Each state's polynomial in A and y is one packed
-int: the coefficient of A^a y^k is digit (a + c) + (2c + 1) k in base
-2^bits, with c the number of crossings and bits wide enough for any
-coefficient.  So A and y are shifts, and the sum is unpacked once, at the
-end.  The cost is linear in the tiles for a bounded frontier; a diagram
-whose cost, estimated from the tile order, is above MAX_COST is refused.
+Bell(widest) bounds.  Each state's polynomial in A is one packed int (a
+Kronecker substitution, D. Harvey 2009): the coefficient of A^a is digit
+a + c + r in base 2^bits, with c the number of crossings, r the cycle
+rank of the tile graph and bits wide enough for any coefficient.  So A is
+a shift, -sigma three shifted adds, and the sum is unpacked once, at the
+end.  Every state starts at A^r: no path closes more than r cycles, so
+each right shift of a -sigma step drops only zero digits.  The cost is
+linear in the tiles for a bounded frontier; a diagram whose cost,
+estimated from the tile order, is above MAX_COST is refused.
 
 `eval_crossing_free` evaluates an abstract multigraph by the
 delete/contract axioms; the test suite uses it as an oracle.  The raw
@@ -170,12 +175,13 @@ def _tile_order(tiles):
                default=((0, 0, 0), []))
 
 
-def _close(labels, v, closes, y_shift, out):
+def _close(labels, v, closes, bits, out):
     """Decide each segment (i, j) of `closes`, i < j its ends' entries in
-    `labels`: keep it (a factor y if both ends are in one cluster, else join
-    the two) or delete it; drop both entries, a factor -1 per cluster this
-    finishes; add each result, canonicalized, to `out`.  For the last tie of
-    one of two clusters, deleting it finishes one and the choices cancel."""
+    `labels`: if both ends are in one cluster, keep and delete it at once (a
+    factor -sigma), else keep it (join the two) or delete it; drop both
+    entries, a factor -1 per cluster this finishes; add each result,
+    canonicalized, to `out`.  For the last tie of one of two clusters,
+    deleting it finishes one and the choices cancel."""
     work = [(labels, v)]
     for i, j in closes:
         done, work = work, []
@@ -183,29 +189,14 @@ def _close(labels, v, closes, y_shift, out):
             a, b = labels[i], labels[j]
             rest = labels[:i] + labels[i + 1:j] + labels[j + 1:]
             if a == b:
-                v += v << y_shift
-                work.append((rest, v if a in rest else -v))
+                v = (v >> bits) + v + (v << bits)
+                work.append((rest, -v if a in rest else v))
             elif a in rest and b in rest:
                 work.append((rest, v))
                 work.append((tuple([a if x == b else x for x in rest]), v))
     for labels, v in work:
         key = _canon(labels)
         out[key] = out.get(key, 0) + v
-
-
-def _unpack(packed, c, bits):
-    """The polynomial in A of the packed sum: its balanced base 2^bits
-    digits, 2c + 1 A-exponents per power of y, expanded by Horner in
-    y = -A - 2 - A^-1."""
-    rows = {}
-    for index, coeff in from_packed(packed, bits, 0, VAR).terms():
-        k, a = divmod(index, 2 * c + 1)
-        rows.setdefault(k, {})[a - c] = coeff
-    y = LaurentPoly({-1: -1, 0: -2, 1: -1}, VAR)
-    total = LaurentPoly.zero(VAR)
-    for k in range(max(rows, default=0), -1, -1):
-        total = total * y + LaurentPoly(rows.get(k), VAR)
-    return total
 
 
 def _sigma_power(k):
@@ -224,14 +215,17 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
     c = len(d.crossings)
     tiles = _tiles(d)
     segments = len(d.segment_ids())
-    # a coefficient counts at most 3^c * 2^(segments) choices
-    bits = (3 ** c << segments).bit_length() + 1
     (widest, _, parts), order = _tile_order(tiles)
+    # the tile graph's cycle rank: no path closes more cycles
+    rank = segments - len(tiles) + parts
+    # a coefficient sums at most 3^c crossing options times 3 terms of -sigma
+    # per closed cycle (at most rank) and 2 choices per other segment
+    bits = (3 ** (c + rank) << (segments - rank)).bit_length() + 1
     # Cost: tiles * Bell(widest) (a bound on the settled frontier partitions,
-    # the only states the dict holds) * bits per polynomial (2c + 1 digits per
-    # power of y, up to the tile graph's cycle rank).  Row k of the Bell
-    # triangle starts at Bell(k); grow it only under the limit.
-    unit = len(tiles) * bits * (2 * c + 1) * (segments - len(tiles) + parts + 1)
+    # the only states the dict holds) * bits per polynomial (2c + 2 rank + 1
+    # digits).  Row k of the Bell triangle starts at Bell(k); grow it only
+    # under the limit.
+    unit = len(tiles) * bits * (2 * c + 2 * rank + 1)
     row = [1]
     while len(row) <= widest and unit * row[0] <= MAX_COST:
         row = list(accumulate(row, initial=row[-1]))
@@ -240,7 +234,7 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
         raise DiagramError(f"estimated Yamada cost {bound}{unit * row[0]:.2g} "
                            f"(widest frontier {widest}) is above the limit of "
                            f"{MAX_COST:.0e}")
-    states = {(): 1}
+    states = {(): 1 << bits * rank}
     frontier = []
     for t in order:
         ends, options = tiles[t]
@@ -256,9 +250,9 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
             m = len(set(labels))
             for shift, nodes in options:
                 _close(labels + tuple([m + k for k in nodes]),
-                       v << bits * shift, closes, bits * (2 * c + 1), settled)
+                       v << bits * shift, closes, bits, settled)
         states = settled
-    return (_unpack(states.get((), 0), c, bits)
+    return (from_packed(states.get((), 0), bits, -c - rank, VAR)
             * LaurentPoly(_sigma_power(d.free_loops), VAR))
 
 

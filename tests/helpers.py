@@ -17,9 +17,10 @@ from sginv.alexander import build_alexander_matrix, check_balanced
 from sginv.diagram import (Diagram, DiagramError, Partition, parse_diagram,
                            require_valid, serialize, wirtinger_relations)
 from sginv.graphs import to_abstract_graph
-from sginv.laurent import LaurentPoly, minors_gcd, reduce_unit_pivots
-from sginv.yamada import (VAR, _canon, _tile_order, _tiles, _unpack,
-                          eval_crossing_free, sigma)
+from sginv.laurent import (LaurentPoly, from_packed, minors_gcd,
+                           reduce_unit_pivots)
+from sginv.yamada import (VAR, _canon, _tile_order, _tiles, eval_crossing_free,
+                          sigma)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -215,11 +216,28 @@ def _close_all(states, i, j, y_shift):
     return out
 
 
+def _unpack_a_y(packed, c, bits):
+    """The polynomial in A of a sum packed in A and y: its balanced base
+    2^bits digits, 2c + 1 A-exponents per power of y, expanded by Horner in
+    y = -A - 2 - A^-1."""
+    rows = {}
+    for index, coeff in from_packed(packed, bits, 0, VAR).terms():
+        k, a = divmod(index, 2 * c + 1)
+        rows.setdefault(k, {})[a - c] = coeff
+    y = LaurentPoly({-1: -1, 0: -2, 1: -1}, VAR)
+    total = LaurentPoly.zero(VAR)
+    for k in range(max(rows, default=0), -1, -1):
+        total = total * y + LaurentPoly(rows.get(k), VAR)
+    return total
+
+
 def two_pass_yamada(d: Diagram):
     """R(G) by the same frontier transfer matrix as `yamada_raw`, but with
     each tile taken in two passes: every state is opened with every option
     into one dict, which is then rebuilt once per segment the tile closes.
-    Same tiles, order and packing; no cost estimate."""
+    Same tiles and order, but the states are packed in A and y: the
+    coefficient of A^a y^k is digit (a + c) + (2c + 1) k, so a cycle step
+    is a factor 1 + y, one shifted add.  No cost estimate."""
     require_valid(d)
     c = len(d.crossings)
     tiles = _tiles(d)
@@ -243,7 +261,7 @@ def two_pass_yamada(d: Diagram):
                 i, j = sorted((frontier.index(e), frontier.index(e ^ 1)))
                 states = _close_all(states, i, j, bits * (2 * c + 1))
                 del frontier[j], frontier[i]
-    return _unpack(states.get((), 0), c, bits) * sigma() ** d.free_loops
+    return _unpack_a_y(states.get((), 0), c, bits) * sigma() ** d.free_loops
 
 
 def grid_text(n):

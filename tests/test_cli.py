@@ -1,6 +1,7 @@
 """Black-box CLI tests: exit codes, exact output bytes, determinism, and
 the refusals: the Yamada cost estimate and the bound on free loops."""
 
+import hashlib
 import json
 import os
 import resource
@@ -14,7 +15,8 @@ from sginv import catalog
 from sginv.constituents import enumerate_constituents, hamiltonian_constituents
 from sginv.diagram import Diagram, parse_document, serialize
 from sginv.laurent import LaurentPoly
-from sginv.moves import disjoint_union
+from sginv.moves import disjoint_union, mirror
+from sginv.yamada import yamada_raw
 
 from helpers import fixture_path, grid_text as _grid
 
@@ -84,15 +86,35 @@ def test_yamada_cost_refusal():
 
 def test_yamada_refuses_wide_and_long_diagrams(tmp_path):
     """The estimate, not the crossing count, decides: crossing-free grids
-    of widest frontier 11 and 13, and the 100-crossing closure of
-    (sigma_1 sigma_2^-1)^50, whose frontier stays at 6 but whose packed
-    polynomials grow with the crossings, are refused at once."""
+    of widest frontier 11 and 13, K8 (widest frontier 16), and the
+    300-crossing closure of (sigma_1 sigma_2^-1)^150, whose frontier stays
+    at 6 but whose packed polynomials grow with the crossings, are refused
+    at once."""
     for name, text, widest in (
             ("grid10", _grid(10), 11), ("grid12", _grid(12), 13),
-            ("closure50", serialize(catalog.braid_closure(3, [1, -2] * 50)), 6)):
+            ("k8", serialize(catalog.complete_graph_moment_curve(8)), 16),
+            ("closure150", serialize(catalog.braid_closure(3, [1, -2] * 150)),
+             6)):
         path = tmp_path / f"{name}.json"
         path.write_text(text)
         _assert_cost_refused(str(path), widest)
+
+
+def test_yamada_hundred_crossing_closure(tmp_path):
+    """The 100-crossing closure of (sigma_1 sigma_2^-1)^50 runs; its
+    digest is the value of the (A, y) packing with the cost limit lifted,
+    and the mirror diagram gives R(A^-1)."""
+    d = catalog.braid_closure(3, [1, -2] * 50)
+    path = tmp_path / "closure50.json"
+    path.write_text(serialize(d))
+    r = run_cli("yamada", str(path), timeout=60)
+    assert r.returncode == 0 and r.stderr == b""
+    assert hashlib.sha256(r.stdout).hexdigest() == (
+        "8a4d033325589c670fe57630d5166a09bcd114047f8a8adddf51eb1cde8d98e9")
+    raw = yamada_raw(d)
+    assert str(raw).encode() + b"\n" == r.stdout
+    flipped = LaurentPoly({-e: c for e, c in raw.terms()}, "A")
+    assert yamada_raw(mirror(d)) == flipped
 
 
 # R of the closure of (sigma_1 sigma_2^-1)^12 from A^-37 up to A^0; the
@@ -201,6 +223,22 @@ def test_alexander_weight_handling():
                    "--weight", "e9=1").returncode == 2
     assert run_cli("alexander", fixture_path("trefoil.json"),
                    "--weight", "oops").returncode == 2
+
+
+def test_long_weight_flag_refused_briefly():
+    """A --weight value with more digits than int() takes, or long and
+    malformed, is refused with one short line that echoes at most 40
+    characters."""
+    cases = (("e1=" + "7" * 5000, b"the limit of int from str"),
+             ("e1=" + "7" * 3000 + "x", b"expected e<k>=<int>"),
+             ("x" * 5000, b"expected e<k>=<int>"))
+    for command in ("alexander", "determinant"):
+        for value, reason in cases:
+            r = run_cli(command, fixture_path("theta_weighted.json"),
+                        "--weight", value)
+            assert r.returncode == 2 and r.stdout == b"", command
+            assert r.stderr.count(b"\n") == 1 and len(r.stderr) < 1000
+            assert reason in r.stderr and b"7" * 100 not in r.stderr
 
 
 def test_dense_refusal():

@@ -199,9 +199,10 @@ def test_matches_flat_state_sum():
 
 
 def test_matches_two_pass_transfer_matrix():
-    """The one-pass step equals the two-pass one on every fixture under
-    the cost limit, K4-K6, crossing-free grids 2x2-7x7, 32 seeded closures
-    of 2-4 strands and up to 30 crossings, and seeded R1/R2 inflations."""
+    """The one-pass step packed in A equals the two-pass one packed in A
+    and y on every fixture under the cost limit, K4-K6, crossing-free grids
+    2x2-7x7, 32 seeded closures of 2-4 strands and up to 30 crossings, and
+    seeded R1/R2 inflations."""
     corpus = {}
     for name in sorted(os.listdir(FIXTURE_DIR)):
         try:
