@@ -18,7 +18,7 @@ _EXPORTS = {
                 "derive_arcs", "derive_edges", "parse_diagram",
                 "parse_document", "resolve_crossing", "serialize", "validate"),
     "graphs": ("AbstractGraph", "canonical_certificate", "contract_edge",
-               "delete_edge", "to_abstract_graph"),
+               "delete_edge"),
     "laurent": ("LaurentPoly", "bareiss_det", "laurent_gcd"),
     "moves": ("apply_r1", "apply_r1_traced", "apply_r2", "apply_r2_traced",
               "disjoint_union", "mirror", "transport_weights"),

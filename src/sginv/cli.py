@@ -63,7 +63,7 @@ def _resolve_weights(d, file_weights, flag_weights):
     for source in (file_weights or {}, flag_weights):
         for eid, w in source.items():
             if eid not in eids:
-                raise CliError(2, f"unknown edge {eid}")
+                raise CliError(2, f"unknown edge {eid:.40}")
             weights[eid] = w
     return weights
 
@@ -227,7 +227,8 @@ def _int_flag(ok, message):
         try:
             n = int(text)
         except ValueError:
-            reason = _over_digit_limit(text) or f"{text!r} is not an integer"
+            reason = (_over_digit_limit(text)
+                      or f"{text!r:.40} is not an integer")
             raise argparse.ArgumentTypeError(reason) from None
         try:
             good = ok(n)

@@ -151,7 +151,7 @@ def _seg_id(raw, where):
         return raw
     if isinstance(raw, str) and raw.startswith("s") and raw[1:].isdecimal():
         return int(raw[1:])
-    raise DiagramError(f"{where}: bad segment id {raw!r}")
+    raise DiagramError(f"{where}: bad segment id {raw!r:.40}")
 
 
 def parse_document(text: str, check: bool = True):
@@ -173,7 +173,7 @@ def parse_document(text: str, check: bool = True):
     known = {"vertices", "crossings", "free_loops", "weights"}
     for key in doc:
         if key not in known:
-            raise DiagramError(f"unknown key {key!r}")
+            raise DiagramError(f"unknown key {key!r:.40}")
 
     vertices = []
     for entry in _typed(doc.get("vertices", []), list, "vertices"):
@@ -189,7 +189,7 @@ def parse_document(text: str, check: bool = True):
                                    "[segment, direction] pair")
             seg, direction = pair
             if direction not in ("in", "out"):
-                raise DiagramError(f"{where}: direction {direction!r}")
+                raise DiagramError(f"{where}: direction {direction!r:.40}")
             incident.append((_seg_id(seg, where), direction))
         vertices.append(VertexNode(vid, tuple(incident)))
 
@@ -214,7 +214,7 @@ def parse_document(text: str, check: bool = True):
         require_valid(d)
     weights = doc.get("weights")
     if weights is not None:
-        weights = {str(k): _int(w, f"weight {k!r}")
+        weights = {str(k): _int(w, f"weight {k!r:.40}")
                    for k, w in _typed(weights, dict, "weights").items()}
     return d, weights
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple
 
-from .diagram import SMOOTHINGS, Diagram, DiagramError, UnionFind
+from .diagram import UnionFind
 
 
 class AbstractGraph(NamedTuple):
@@ -25,35 +25,6 @@ class AbstractGraph(NamedTuple):
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u},{v}) out of range")
         return AbstractGraph(vertex_count, norm, free_loops)
-
-
-def to_abstract_graph(d: Diagram, state=()) -> AbstractGraph:
-    """The crossing-free residue of `d` in one crossing state (the default
-    fits crossing-free diagrams): "A"/"B" at state[i] joins the slots of
-    crossing i as `SMOOTHINGS` says, "V" makes it a 4-valent vertex
-    after the diagram's own (in id order).  A class of the union-find over
-    segments is an edge if it has two vertex ends, else a free loop."""
-    if len(state) != len(d.crossings) or not set(state) <= {"A", "B", "V"}:
-        raise DiagramError(f"state {state!r:.40} does not resolve the "
-                           f"{len(d.crossings)} crossings")
-    segs = d.segment_ids()
-    uf = UnionFind(segs)
-    ends = [[s for s, _ in v.incident]
-            for v in sorted(d.vertices, key=lambda v: v.id)]
-    for c, mode in zip(d.crossings, state):
-        if mode == "V":
-            ends.append([c.over_in, c.over_out, c.under_in, c.under_out])
-        else:
-            ccw = c.ccw_slots()
-            for a, b in SMOOTHINGS[mode]:
-                uf.union(getattr(c, ccw[a]), getattr(c, ccw[b]))
-    attached = {}
-    for i, vertex_segs in enumerate(ends):
-        for s in vertex_segs:
-            attached.setdefault(uf.find(s), []).append(i)
-    closed = len({uf.find(s) for s in segs}) - len(attached)
-    return AbstractGraph.make(len(ends), attached.values(),
-                              d.free_loops + closed)
 
 
 def delete_edge(g: AbstractGraph, e) -> AbstractGraph:

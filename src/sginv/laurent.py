@@ -149,22 +149,6 @@ class LaurentPoly:
 
     # -- evaluation and normalization --------------------------------------
 
-    def subs_int(self, value):
-        """Evaluate at an integer point (value must be a unit: +-1) exactly.
-
-        For value = -1 negative exponents are fine since (-1)^-k = (-1)^k.
-        Other nonzero integers are only allowed when min_degree >= 0.
-        """
-        total = 0
-        for e, c in self._c.items():
-            if value in (1, -1):
-                total += c * (value ** (e % 2))
-            else:
-                if e < 0:
-                    raise ValueError("negative exponent at non-unit point")
-                total += c * value ** e
-        return total
-
     def normalize_units(self):
         """Multiply by the unique unit +-x^k making the lowest term a positive
         constant (the canonical representative up to units)."""

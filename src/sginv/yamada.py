@@ -120,47 +120,39 @@ def _tiles(d: Diagram):
     return tiles
 
 
-def _walk(start, degree, neighbors):
+def _walk(start, neighbors):
     """A greedy minimum-frontier order of the tiles from `start`, and its
-    (widest frontier, summed frontier, components).  `degree[t]` counts the
-    ends of t whose segment leaves t; each processed neighbor lowers the
-    frontier change of taking t by 2 per shared segment.  Candidates wait in
-    one stack per frontier change, the latest first; stale entries are
-    skipped."""
-    n = len(degree)
-    gain = list(degree)
-    done = [False] * n
-    buckets = {gain[start]: [start]}
-    order = []
-    width = widest = total = fresh = 0
+    (widest frontier, summed frontier, components).  A tile's gain, the
+    frontier change of taking it, starts at its count of ends whose segment
+    leaves it and falls by 2 per segment it shares with a taken tile.  A
+    tile waits once a taken neighbor touches it.  The next tile is the
+    waiting one of least gain, on a tie the one touched last; when none is
+    waiting, the first tile not taken starts a new component."""
+    gain = [len(nb) for nb in neighbors]
+    order = {}                  # the taken tiles, in order
+    waiting = {start: None}     # the last touched last
+    unseen = iter(range(len(neighbors)))
+    width = widest = total = 0
     parts = 1
-    while len(order) < n:
-        t = None
-        while buckets and t is None:
-            g = min(buckets)
-            stack = buckets[g]
-            u = stack.pop()
-            if not stack:
-                del buckets[g]
-            if not done[u] and gain[u] == g:
-                t = u
-        if t is None:   # a new component: the first tile not taken yet
-            while done[fresh]:
-                fresh += 1
-            t = fresh
+    for _ in neighbors:
+        if waiting:
+            t = min(reversed(waiting), key=gain.__getitem__)
+            del waiting[t]
+        else:
+            t = next(u for u in unseen if u not in order)
             parts += 1
-        done[t] = True
-        order.append(t)
+        order[t] = None
         width += gain[t]
         widest = max(widest, width)
         total += width
         for u in neighbors[t]:
-            if not done[u]:
+            if u not in order:
                 gain[u] -= 2
-        for u in dict.fromkeys(neighbors[t]):
-            if not done[u]:
-                buckets.setdefault(gain[u], []).append(u)
-    return (widest, total, parts), order
+                waiting.pop(u, None)
+        for u in neighbors[t]:      # back in at the end, in first-touch order
+            if u not in order:
+                waiting[u] = None
+    return (widest, total, parts), list(order)
 
 
 def _tile_order(tiles):
@@ -168,10 +160,9 @@ def _tile_order(tiles):
     tile_of = {e: t for t, (ends, _) in enumerate(tiles) for e in ends}
     neighbors = [[tile_of[e ^ 1] for e in ends if tile_of[e ^ 1] != t]
                  for t, (ends, _) in enumerate(tiles)]
-    degree = [len(nb) for nb in neighbors]
     n = len(tiles)
     starts = sorted({i * n // _STARTS for i in range(_STARTS)}) if n else []
-    return min((_walk(s, degree, neighbors) for s in starts),
+    return min((_walk(s, neighbors) for s in starts),
                default=((0, 0, 0), []))
 
 

@@ -4,7 +4,9 @@ explicit 9x10 relation matrix, random polynomial generation (seeded; every
 test run is deterministic), and the Laurent divisibility, cofactor
 determinant (over Z and Z[t^+-1]), Laurent-route graph determinant,
 constant-coloring, flat Yamada state-sum, two-pass Yamada transfer matrix
-and trial-division primality oracles, and the crossing-free grid diagram.
+and trial-division primality oracles, the crossing-free grid diagram, and
+two helpers only the tests use: a Laurent polynomial's value at an integer
+point and a diagram state's crossing-free residue graph.
 """
 
 import json
@@ -14,9 +16,10 @@ from itertools import product
 
 from sginv import catalog
 from sginv.alexander import build_alexander_matrix, check_balanced
-from sginv.diagram import (Diagram, DiagramError, Partition, parse_diagram,
-                           require_valid, serialize, wirtinger_relations)
-from sginv.graphs import to_abstract_graph
+from sginv.diagram import (SMOOTHINGS, Diagram, DiagramError, Partition,
+                           UnionFind, parse_diagram, require_valid, serialize,
+                           wirtinger_relations)
+from sginv.graphs import AbstractGraph
 from sginv.laurent import (LaurentPoly, from_packed, minors_gcd,
                            reduce_unit_pivots)
 from sginv.yamada import (VAR, _canon, _tile_order, _tiles, eval_crossing_free,
@@ -154,9 +157,22 @@ def laurent_determinant(d: Diagram, weights):
         return 1
     if r - 1 > s:
         raise DiagramError(f"degenerate input: {r} relations but only {s} arcs")
-    core, k = reduce_unit_pivots([[LaurentPoly.constant(e.subs_int(-1))
+    core, k = reduce_unit_pivots([[LaurentPoly.constant(subs_int(e, -1))
                                    for e in row] for row in m.rows], r - 1)
     return minors_gcd(core, k).coeff(0)
+
+
+def subs_int(p, value):
+    """p evaluated exactly at an integer point: at +-1 for any p, since
+    (-1)^-k = (-1)^k, and elsewhere only when p has no negative exponent."""
+    total = 0
+    for e, c in p.terms():
+        if value in (1, -1):
+            e %= 2
+        elif e < 0:
+            raise ValueError("negative exponent at non-unit point")
+        total += c * value ** e
+    return total
 
 
 def count_constant_colorings(d: Diagram, X):
@@ -179,6 +195,35 @@ def count_constant_colorings(d: Diagram, X):
         if ok:
             count += 1
     return count
+
+
+def to_abstract_graph(d: Diagram, state=()) -> AbstractGraph:
+    """The crossing-free residue of `d` in one crossing state (the default
+    fits crossing-free diagrams): "A"/"B" at state[i] joins the slots of
+    crossing i as `SMOOTHINGS` says, "V" makes it a 4-valent vertex
+    after the diagram's own (in id order).  A class of the union-find over
+    segments is an edge if it has two vertex ends, else a free loop."""
+    if len(state) != len(d.crossings) or not set(state) <= {"A", "B", "V"}:
+        raise DiagramError(f"state {state!r:.40} does not resolve the "
+                           f"{len(d.crossings)} crossings")
+    segs = d.segment_ids()
+    uf = UnionFind(segs)
+    ends = [[s for s, _ in v.incident]
+            for v in sorted(d.vertices, key=lambda v: v.id)]
+    for c, mode in zip(d.crossings, state):
+        if mode == "V":
+            ends.append([c.over_in, c.over_out, c.under_in, c.under_out])
+        else:
+            ccw = c.ccw_slots()
+            for a, b in SMOOTHINGS[mode]:
+                uf.union(getattr(c, ccw[a]), getattr(c, ccw[b]))
+    attached = {}
+    for i, vertex_segs in enumerate(ends):
+        for s in vertex_segs:
+            attached.setdefault(uf.find(s), []).append(i)
+    closed = len({uf.find(s) for s in segs}) - len(attached)
+    return AbstractGraph.make(len(ends), attached.values(),
+                              d.free_loops + closed)
 
 
 def flat_yamada(d: Diagram):

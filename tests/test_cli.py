@@ -18,7 +18,7 @@ from sginv.laurent import LaurentPoly
 from sginv.moves import disjoint_union, mirror
 from sginv.yamada import yamada_raw
 
-from helpers import fixture_path, grid_text as _grid
+from helpers import fixture_path, grid_text as _grid, read_fixture
 
 CLI = [sys.executable, "-m", "sginv.cli"]
 
@@ -363,6 +363,63 @@ def test_overlong_integer_flag(subcommand, flag):
     assert b"7" * 100 not in r.stderr and len(r.stderr) < 1000
     assert (f"{flag}: the value has over {sys.get_int_max_str_digits()} "
             f"digits".encode() in r.stderr)
+
+
+@pytest.mark.parametrize("subcommand, flag", [("colorings", "--dihedral"),
+                                              ("colorings", "--trivial"),
+                                              ("pcolor", "--p")])
+def test_malformed_integer_flag_echo_is_cut(subcommand, flag):
+    """A malformed integer flag under the digit limit is quoted to at most
+    40 characters.  argparse writes its usage lines before the one error
+    line."""
+    r = run_cli(subcommand, fixture_path("trefoil.json"), flag,
+                "7" * 3000 + "x", timeout=10)
+    assert r.returncode == 2 and r.stdout == b""
+    assert len(r.stderr) < 1000 and b"7" * 100 not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if b"error:" in line]
+    assert len(errors) == 1 and b"is not an integer" in errors[0]
+
+
+def _long_document(fixture, change):
+    doc = json.loads(read_fixture(fixture))
+    change(doc)
+    return json.dumps(doc)
+
+
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("subcommand, text, flags, reason", [
+    ("validate", _long_document(
+        "trefoil.json", lambda doc: doc["crossings"][0].update(over_in=LONG)),
+     (), b"bad segment id 'xxx"),
+    ("validate", _long_document(
+        "theta_trivial.json",
+        lambda doc: doc["vertices"][0]["incident"][0].__setitem__(1, LONG)),
+     (), b"direction 'xxx"),
+    ("validate", _long_document("trefoil.json",
+                                lambda doc: doc.update({LONG: 1})),
+     (), b"unknown key 'xxx"),
+    ("alexander", _long_document(
+        "theta_weighted.json", lambda doc: doc["weights"].update({LONG: "1"})),
+     (), b"expected an integer"),
+    ("alexander", _long_document(
+        "theta_weighted.json",
+        lambda doc: doc["weights"].update({"e" + "9" * 100_000: 1})),
+     (), b"unknown edge e999"),
+    ("alexander", read_fixture("theta_weighted.json"),
+     ("--weight", "e" + "9" * 3000 + "=1"), b"unknown edge e999"),
+], ids=["segment", "direction", "key", "weight-value", "weight-key",
+        "weight-flag"])
+def test_outside_input_echo_is_cut(tmp_path, subcommand, text, flags, reason):
+    """An error that quotes a key, segment id, direction or edge from the
+    input quotes at most 40 characters of it."""
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    r = run_cli(subcommand, str(path), *flags, timeout=10)
+    assert r.returncode == 2 and r.stdout == b""
+    assert r.stderr.count(b"\n") == 1 and len(r.stderr) < 1000
+    assert reason in r.stderr and b"9" * 100 not in r.stderr
 
 
 def test_pcolor_primality_limit():

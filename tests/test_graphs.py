@@ -10,10 +10,9 @@ import pytest
 from sginv import catalog
 from sginv.diagram import DiagramError, resolve_crossing
 from sginv.graphs import (AbstractGraph, canonical_certificate,
-                          connected_components, contract_edge, delete_edge,
-                          to_abstract_graph)
+                          connected_components, contract_edge, delete_edge)
 
-from helpers import small_corpus
+from helpers import small_corpus, to_abstract_graph
 
 
 def theta_graph():

@@ -19,7 +19,7 @@ from sginv.laurent import (LaurentPoly, bareiss_det, integer_det,
                            laurent_gcd_many, minors_gcd, reduce_unit_pivots)
 
 from helpers import (balanced_theta_weights, nine_by_ten_matrix, random_laurent,
-                     random_unit, read_fixture)
+                     random_unit, read_fixture, subs_int)
 
 
 def int_minors_gcd(matrix, k):
@@ -58,7 +58,7 @@ def rank_deficient(rng, rows, cols, rank):
 
 
 def at_minus_one(matrix):
-    return [[e.subs_int(-1) for e in row] for row in matrix]
+    return [[subs_int(e, -1) for e in row] for row in matrix]
 
 
 def test_reduction_shape_and_unit_counting():

@@ -24,7 +24,7 @@ PUBLIC = {
     "Crossing", "Diagram", "DiagramError", "VertexNode", "derive_arcs",
     "derive_edges", "parse_diagram", "parse_document", "resolve_crossing",
     "serialize", "validate", "AbstractGraph", "canonical_certificate",
-    "contract_edge", "delete_edge", "to_abstract_graph", "LaurentPoly",
+    "contract_edge", "delete_edge", "LaurentPoly",
     "bareiss_det", "laurent_gcd", "apply_r1", "apply_r1_traced", "apply_r2",
     "apply_r2_traced", "disjoint_union", "mirror", "transport_weights",
     "YamadaResult", "eval_crossing_free", "sigma", "yamada_normalized",

@@ -1,9 +1,11 @@
 """Yamada polynomial: axioms on base cases, independent oracles (a
 non-memoized skein recursion, the flat state sum and the subset
 expansion), the two-pass transfer matrix as a reference for the one-pass
-step, multiplicativity, move behavior, tabulated theta-curve values, and
-the refusal of a diagram whose estimated cost is too high."""
+step, multiplicativity, move behavior, tabulated theta-curve values, the
+refusal of a diagram whose estimated cost is too high, and the greedy tile
+order pinned on a seeded corpus."""
 
+import hashlib
 import os
 import random
 import time
@@ -15,14 +17,15 @@ from sginv import catalog
 from sginv.diagram import (Crossing, Diagram, DiagramError, UnionFind,
                            VertexNode, parse_diagram, resolve_crossing)
 from sginv.graphs import (AbstractGraph, connected_components, contract_edge,
-                          delete_edge, to_abstract_graph)
+                          delete_edge)
 from sginv.laurent import LaurentPoly
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, disjoint_union, mirror
-from sginv.yamada import (_sigma_power, eval_crossing_free, sigma,
-                          yamada_normalized, yamada_raw)
+from sginv.yamada import (_sigma_power, _tile_order, _tiles,
+                          eval_crossing_free, sigma, yamada_normalized,
+                          yamada_raw)
 
 from helpers import (FIXTURE_DIR, flat_yamada, grid_text, read_fixture,
-                     small_corpus, two_pass_yamada)
+                     small_corpus, to_abstract_graph, two_pass_yamada)
 
 A = LaurentPoly.monomial(1, 1, "A")
 A_inv = LaurentPoly.monomial(1, -1, "A")
@@ -333,3 +336,76 @@ def test_wide_frontier_refused_at_once():
                                            r"\S+ \(widest frontier 5000\)"):
         yamada_raw(d)
     assert time.monotonic() - start < 1.0
+
+
+def tile_order_corpus():
+    """Fourteen fixtures, K3-K9, the grids 2x2-13x13, the 3-braid closures
+    of (sigma_1 sigma_2^-1)^k for k <= 300, 400 seeded closures of 2-6
+    strands inflated by up to three R1/R2 moves, and 48 catalog diagrams
+    inflated by one to three R2 moves."""
+    corpus = [parse_diagram(read_fixture(name + ".json")) for name in (
+        "closure3x18", "figure_eight", "k5", "k7", "kink_neg", "kink_pos",
+        "knot_5_2", "theta_5_3", "theta_5_4", "theta_trivial",
+        "theta_weighted", "torus_2_5", "trefoil", "unknot")]
+    corpus += [catalog.complete_graph_moment_curve(n) for n in range(3, 10)]
+    corpus += [parse_diagram(grid_text(n)) for n in range(2, 14)]
+    corpus += [catalog.braid_closure(3, [1, -2] * k) for k in range(1, 301)]
+    rng = random.Random(21)
+    for _ in range(400):
+        strands = rng.randint(2, 6)
+        d = catalog.braid_closure(
+            strands, [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                      for _ in range(rng.randint(1, 24))])
+        for _ in range(rng.randint(0, 3)):
+            segs = sorted(d.segment_ids())
+            if len(segs) >= 2 and rng.random() < 0.5:
+                s1, s2 = rng.sample(segs, 2)
+                d = apply_r2(d, s1, s2, rng.choice(R2_VARIANTS))
+            else:
+                d = apply_r1(d, rng.choice(segs), rng.choice((1, -1)))
+        corpus.append(d)
+    bases = [getattr(catalog, name)() for name in (
+        "trefoil", "figure_eight", "torus_2_5", "knot_5_2", "theta_5_3",
+        "theta_5_4", "theta_trivial")]
+    bases.append(catalog.complete_graph_moment_curve(4))
+    for i in range(48):
+        d = bases[i % len(bases)]
+        for _ in range(1 + i % 3):
+            s1, s2 = rng.sample(sorted(d.segment_ids()), 2)
+            d = apply_r2(d, s1, s2, rng.choice(R2_VARIANTS))
+        corpus.append(d)
+    return corpus
+
+
+def test_tile_order_identity():
+    """The greedy tile order, and its (widest, summed, parts), on every
+    diagram of the corpus (781): one SHA-256 over the repr of each
+    `_tile_order` result, recorded from the walk that kept one candidate
+    stack per gain."""
+    digest = hashlib.sha256()
+    for d in tile_order_corpus():
+        digest.update(repr(_tile_order(_tiles(d))).encode())
+    assert digest.hexdigest() == ("4d9683bba53ef64de845ab0b95d99cfb"
+                                  "23ebabe80ab3c74cffd2733ffa68ca78")
+
+
+@pytest.mark.parametrize("name, make, expected", [
+    ("K6", lambda: catalog.complete_graph_moment_curve(6), (9, 149, 1)),
+    ("K7", lambda: catalog.complete_graph_moment_curve(7), (12, 416, 1)),
+    ("K8", lambda: catalog.complete_graph_moment_curve(8), (16, 1003, 1)),
+    ("grid8", lambda: parse_diagram(grid_text(8)), (9, 477, 1)),
+    ("grid10", lambda: parse_diagram(grid_text(10)), (11, 990, 1)),
+    ("closure3x100", lambda: catalog.braid_closure(3, [1, -2] * 50),
+     (6, 590, 1)),
+    ("closure3x300", lambda: catalog.braid_closure(3, [1, -2] * 150),
+     (6, 1790, 1)),
+    ("trefoil+figure_eight", lambda: disjoint_union(catalog.trefoil(),
+                                                    catalog.figure_eight()),
+     (4, 20, 2)),
+    ("k4+theta_5_3+trefoil", lambda: disjoint_union(
+        disjoint_union(catalog.complete_graph_moment_curve(4),
+                       catalog.theta_5_3()), catalog.trefoil()), (4, 45, 3)),
+])
+def test_tile_order_cost(name, make, expected):
+    """(widest frontier, summed frontier, components) of the tile order."""
+    assert _tile_order(_tiles(make()))[0] == expected, name
