@@ -181,8 +181,6 @@ class Presentation(NamedTuple):
 def _reduce_word(letters):
     out = []
     for g, e in letters:
-        if e == 0:
-            continue
         if out and out[-1][0] == g:
             s = out[-1][1] + e
             out.pop()

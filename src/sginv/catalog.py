@@ -106,23 +106,17 @@ def knot_5_2() -> Diagram:
 # -- theta curves -----------------------------------------------------------
 
 def _knot_to_theta(d: Diagram, x: int, y: int) -> Diagram:
-    """Insert trivalent vertices u on segment x and v on segment y of a knot
-    diagram (u before v when x == y) and join them by a crossing-free edge.
+    """Insert trivalent vertices u on segment x and v on segment y != x of a
+    knot diagram and join them by a crossing-free edge.
 
     The caller is responsible for picking x and y on a common face of the
     drawn diagram so the new edge really is crossing-free in the plane.
     """
     nxt = max(d.segment_ids()) + 1
-    if x == y:
-        x1, x2, x3, t = nxt, nxt + 1, nxt + 2, nxt + 3
-        tail_ren, head_ren = {x: x1}, {x: x3}
-        u = VertexNode(100, ((x1, "in"), (x2, "out"), (t, "out")))
-        v = VertexNode(101, ((x2, "in"), (x3, "out"), (t, "in")))
-    else:
-        x1, x2, y1, y2, t = nxt, nxt + 1, nxt + 2, nxt + 3, nxt + 4
-        tail_ren, head_ren = {x: x1, y: y1}, {x: x2, y: y2}
-        u = VertexNode(100, ((x1, "in"), (x2, "out"), (t, "out")))
-        v = VertexNode(101, ((y1, "in"), (y2, "out"), (t, "in")))
+    x1, x2, y1, y2, t = nxt, nxt + 1, nxt + 2, nxt + 3, nxt + 4
+    tail_ren, head_ren = {x: x1, y: y1}, {x: x2, y: y2}
+    u = VertexNode(100, ((x1, "in"), (x2, "out"), (t, "out")))
+    v = VertexNode(101, ((y1, "in"), (y2, "out"), (t, "in")))
     crossings = tuple(Crossing(
         over_in=head_ren.get(c.over_in, c.over_in),
         over_out=tail_ren.get(c.over_out, c.over_out),

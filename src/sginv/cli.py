@@ -241,8 +241,8 @@ def _int_flag(ok, message):
 
 
 # reads `quandle` when --p is parsed, not when the module is imported
-_prime = _int_flag(lambda n: quandle.is_prime(n), "{} is not prime")
-_order = _int_flag(lambda n: n >= 1, "order must be >= 1, got {}")
+_prime = _int_flag(lambda n: quandle.is_prime(n), "{!s:.40} is not prime")
+_order = _int_flag(lambda n: n >= 1, "order must be >= 1, got {!s:.40}")
 
 
 def build_parser():

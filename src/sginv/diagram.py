@@ -147,7 +147,7 @@ def _typed(raw, kind, where):
 def _seg_id(raw, where):
     if isinstance(raw, int) and not isinstance(raw, bool):
         if raw < 0:
-            raise DiagramError(f"{where}: negative segment id {raw}")
+            raise DiagramError(f"{where}: negative segment id {raw!s:.40}")
         return raw
     if isinstance(raw, str) and raw.startswith("s") and raw[1:].isdecimal():
         return int(raw[1:])
@@ -181,7 +181,7 @@ def parse_document(text: str, check: bool = True):
         if "id" not in entry or "incident" not in entry:
             raise DiagramError("vertex needs 'id' and 'incident'")
         vid = _int(entry["id"], "vertex id")
-        where = f"vertex {vid}"
+        where = f"vertex {vid!s:.40}"
         incident = []
         for pair in _typed(entry["incident"], list, where):
             if not isinstance(pair, list) or len(pair) != 2:

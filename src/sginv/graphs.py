@@ -7,7 +7,8 @@ the objects the Yamada delete/contract axioms evaluate.
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import Counter
+from itertools import chain, groupby, permutations, product
 from typing import NamedTuple
 
 from .diagram import UnionFind
@@ -79,7 +80,7 @@ def connected_components(g: AbstractGraph):
 def canonical_certificate(g: AbstractGraph) -> str:
     """A string equal exactly for isomorphic multigraphs.
 
-    Exhaustive backtracking over vertex relabelings, pruned by a degree/loop
+    Exhaustive search over vertex relabelings, pruned by a degree/loop
     invariant: candidate orderings must list vertices in nondecreasing
     invariant order, and the lexicographically least relabeled edge multiset
     wins.  Inputs here are desk-scale (delete/contract residues), so the
@@ -88,44 +89,16 @@ def canonical_certificate(g: AbstractGraph) -> str:
     n = g.vertex_count
     if n == 0:
         return f"G[n=0;fl={g.free_loops};]"
-    loops = [0] * n
-    deg = [0] * n
-    neigh = [[] for _ in range(n)]
-    for u, v in g.edges:
-        if u == v:
-            loops[u] += 1
-        else:
-            deg[u] += 1
-            deg[v] += 1
-            neigh[u].append(v)
-            neigh[v].append(u)
+    loops = Counter(u for u, v in g.edges if u == v)
+    deg = Counter(w for e in g.edges if e[0] != e[1] for w in e)
     key = [(deg[v], loops[v]) for v in range(n)]
-    order = sorted(range(n), key=lambda v: key[v])
-    groups = []
-    for v in order:
-        if groups and key[groups[-1][-1]] == key[v]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-
+    groups = [tuple(vs) for _, vs in
+              groupby(sorted(range(n), key=key.__getitem__), key.__getitem__)]
     best = None
-    for perm_parts in _group_perms(groups):
-        labeling = {}
-        for pos, v in enumerate(perm_parts):
-            labeling[v] = pos
+    for parts in product(*map(permutations, groups)):
+        labeling = {v: pos for pos, v in enumerate(chain.from_iterable(parts))}
         relabeled = tuple(sorted(tuple(sorted((labeling[u], labeling[v])))
                                  for u, v in g.edges))
         if best is None or relabeled < best:
             best = relabeled
     return f"G[n={n};fl={g.free_loops};{best}]"
-
-
-def _group_perms(groups):
-    """All orderings permuting only within invariant groups."""
-    if not groups:
-        yield []
-        return
-    head, rest = groups[0], groups[1:]
-    for p in permutations(head):
-        for tail in _group_perms(rest):
-            yield list(p) + tail

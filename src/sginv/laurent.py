@@ -198,23 +198,10 @@ def _trim(p):
         p.pop()
     return p
 
-def _poly_scale(p, c):
-    if c == 0:
-        return []
-    return [a * c for a in p]
-
-def _poly_content(p):
-    g = 0
-    for c in p:
-        g = int_gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
-
 def _poly_primitive(p):
     if not p:
         return [], 0
-    cont = _poly_content(p)
+    cont = int_gcd(*p)
     prim = [c // cont for c in p]
     if prim[-1] < 0:
         prim = [-c for c in prim]
@@ -228,7 +215,7 @@ def _poly_pseudo_rem(p, d):
     while len(r) >= len(d):
         k = len(r) - len(d)
         lead = r[-1]
-        r = _poly_scale(r, dl)
+        r = [a * dl for a in r]
         for i, c in enumerate(d):
             r[k + i] -= lead * c
         _trim(r)
@@ -248,13 +235,13 @@ def _poly_gcd(p, q):
         return p
     pp, cp = _poly_primitive(p)
     qp, cq = _poly_primitive(q)
-    cont = int_gcd(abs(cp), abs(cq))
+    cont = int_gcd(cp, cq)
     if len(pp) < len(qp):
         pp, qp = qp, pp
     while qp:
         r = _poly_pseudo_rem(pp, qp)
         pp, qp = qp, _poly_primitive(r)[0]
-    return _poly_scale(pp, cont)
+    return [a * cont for a in pp]
 
 
 def _to_dense(p):
@@ -296,15 +283,12 @@ def laurent_gcd_many(polys):
     """
     acc = None
     var = None
-    one = None
     for p in polys:
         var = var or p.var
         if p.is_zero():
             continue
         acc = p.normalize_units() if acc is None else laurent_gcd(acc, p)
-        if one is None:
-            one = LaurentPoly.constant(1, acc.var)
-        if acc == one:
+        if acc == 1:
             return acc
     if acc is None:
         return LaurentPoly.zero(var or "t")

@@ -235,8 +235,8 @@ def is_prime(p):
     """True when p is prime, by Miller-Rabin to the bases _BASES; raises
     QuandleError for p >= PRIME_LIMIT, where that test is no longer exact."""
     if p >= PRIME_LIMIT:
-        raise QuandleError(f"{p} is not below {PRIME_LIMIT}, the limit of "
-                           f"the exact primality test")
+        raise QuandleError(f"{p!s:.40} is not below {PRIME_LIMIT}, the "
+                           "limit of the exact primality test")
     if p < 2:
         return False
     for a in _BASES:

@@ -380,6 +380,23 @@ def test_malformed_integer_flag_echo_is_cut(subcommand, flag):
     assert len(errors) == 1 and b"is not an integer" in errors[0]
 
 
+@pytest.mark.parametrize("subcommand, flag, value, reason", [
+    ("colorings", "--dihedral", "-" + "7" * 4000, b"must be >= 1, got -777"),
+    ("colorings", "--trivial", "-" + "7" * 4000, b"must be >= 1, got -777"),
+    ("pcolor", "--p", "7" * 4000, b"is not below 3317044064679887385961981"),
+], ids=["dihedral", "trivial", "p"])
+def test_refused_integer_flag_echo_is_cut(subcommand, flag, value, reason):
+    """An integer flag that parses but is refused (an order below 1, a p
+    past the exact primality test) is quoted to at most 40 characters, in
+    one error line after argparse's usage lines."""
+    r = run_cli(subcommand, fixture_path("trefoil.json"), flag, value,
+                timeout=10)
+    assert r.returncode == 2 and r.stdout == b""
+    assert len(r.stderr) < 1000 and b"7" * 100 not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if b"error:" in line]
+    assert len(errors) == 1 and reason in errors[0]
+
+
 def _long_document(fixture, change):
     doc = json.loads(read_fixture(fixture))
     change(doc)
@@ -409,11 +426,19 @@ LONG = "x" * 100_000
      (), b"unknown edge e999"),
     ("alexander", read_fixture("theta_weighted.json"),
      ("--weight", "e" + "9" * 3000 + "=1"), b"unknown edge e999"),
+    ("validate", _long_document(
+        "theta_trivial.json", lambda doc: doc["vertices"][0].update(
+            id=int("9" * 4000), incident=[["s0", "up"]])),
+     (), b"vertex 999"),
+    ("validate", _long_document(
+        "trefoil.json",
+        lambda doc: doc["crossings"][0].update(over_in=-int("9" * 4000))),
+     (), b"negative segment id -999"),
 ], ids=["segment", "direction", "key", "weight-value", "weight-key",
-        "weight-flag"])
+        "weight-flag", "vertex-id", "negative-segment"])
 def test_outside_input_echo_is_cut(tmp_path, subcommand, text, flags, reason):
-    """An error that quotes a key, segment id, direction or edge from the
-    input quotes at most 40 characters of it."""
+    """An error that quotes a key, vertex id, segment id, direction or edge
+    from the input quotes at most 40 characters of it."""
     path = tmp_path / "d.json"
     path.write_text(text)
     r = run_cli(subcommand, str(path), *flags, timeout=10)

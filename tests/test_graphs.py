@@ -1,9 +1,10 @@
 """Abstract multigraphs: deletion/contraction, components, the
-isomorphism certificate under random relabelings, and the state residues
-against crossing-by-crossing resolution."""
+isomorphism certificate under random relabelings and against brute-force
+isomorphism, and the state residues against crossing-by-crossing
+resolution."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -109,3 +110,55 @@ def test_certificate_distinguishes():
     p = AbstractGraph.make(3, [(0, 1), (1, 2)])
     q = AbstractGraph.make(4, [(0, 1), (2, 3)])
     assert canonical_certificate(p) != canonical_certificate(q)
+
+
+def _isomorphic(g, h):
+    """Brute force: one of the n! relabelings of g is h."""
+    return (g.vertex_count == h.vertex_count and g.free_loops == h.free_loops
+            and any(AbstractGraph.make(g.vertex_count,
+                                       [(p[u], p[v]) for u, v in g.edges],
+                                       g.free_loops) == h
+                    for p in permutations(range(g.vertex_count))))
+
+
+def test_certificate_matches_brute_force_isomorphism():
+    """Certificates agree exactly when some relabeling maps one multigraph
+    onto the other.  h is a relabeled copy of g, with its free loop count
+    changed one time in five and one degree-preserving swap of two edge ends
+    four times in five, so most pairs share their degree/loop invariants
+    whether or not they are isomorphic."""
+    rng = random.Random(271828)
+    seen = {True: 0, False: 0}
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 8))]
+        g = AbstractGraph.make(n, edges, rng.randint(0, 1))
+        h = random_relabel(rng, g)
+        if rng.random() < 0.2:
+            h = h._replace(free_loops=1 - h.free_loops)
+        if len(h.edges) >= 2 and rng.random() < 0.8:
+            (a, b), (c, d) = pair = rng.sample(h.edges, 2)
+            rest = list(h.edges)
+            for e in pair:
+                rest.remove(e)
+            h = AbstractGraph.make(n, rest + [(a, d), (c, b)], h.free_loops)
+        same = _isomorphic(g, h)
+        assert (canonical_certificate(g) == canonical_certificate(h)) == same, \
+            (g, h)
+        seen[same] += 1
+    assert min(seen.values()) > 150, seen
+
+
+def test_certificate_past_the_recursion_limit():
+    """A hub joined to 1,100 vertices that each have their own count of hub
+    edges and loops: 1,101 invariant classes, more than the default recursion
+    limit of 1,000, each of one vertex, so there is one candidate ordering."""
+    edges = []
+    for i in range(1100):
+        edges += [(0, i + 1)] * (1 + i // 33) + [(i + 1, i + 1)] * (i % 33)
+    g = AbstractGraph.make(1101, edges)
+    assert len(edges) > 35_000
+    cert = canonical_certificate(g)
+    assert cert.startswith("G[n=1101;fl=0;((0, 1100), (1, 1), (1, 1100),")
+    assert canonical_certificate(random_relabel(random.Random(5), g)) == cert
