@@ -2,13 +2,19 @@
 
 Exit codes: 0 success, 1 computation error (unbalanced weights, cost
 estimate above its limit, no Hamiltonian cycle, ...), 2 input error
-(unreadable file, broken JSON, unknown flags).  Output is deterministic:
-identical input and flags give byte-identical output.
+(unreadable or non-UTF-8 file, broken JSON, unknown flags).  Output is
+deterministic: identical input and flags give byte-identical output.
+
+`run()` is the in-process entry point and returns the exit code.  `main()`
+is the process's exit: it runs `run()`, flushes, runs the `atexit`
+callbacks and ends the process with `os._exit`, skipping the interpreter's
+teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
@@ -31,6 +37,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CliError(2, f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load(args, check=True):
@@ -306,6 +314,7 @@ def build_parser():
 
 
 def run(argv=None):
+    """Run one CLI invocation in this process and return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -322,14 +331,19 @@ def run(argv=None):
 
 
 def main(argv=None):
+    """Run the CLI and end the process with its exit code; never returns.
+    stdout and stderr are flushed and the `atexit` callbacks run, then
+    `os._exit` skips the interpreter's teardown.  Usage errors and --help
+    leave through argparse's SystemExit as before."""
     try:
         code = run(argv)
         sys.stdout.flush()
-    except BrokenPipeError:    # the reader closed stdout; discard the rest
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return code
+    except BrokenPipeError:    # the reader closed stdout; drop the rest
+        code = 1
+    sys.stderr.flush()
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -83,38 +83,46 @@ def _slot_ends(d: Diagram):
 # Validation
 # ---------------------------------------------------------------------------
 
+def _where(tag, owner, slot):
+    """A slot of `_slot_ends` as `validate` names it."""
+    return f"v{owner!s:.40}[{slot}]" if tag == "v" else f"x{owner}.{slot}"
+
+
 def validate(d: Diagram):
-    """Return a list of human-readable violations; empty means valid."""
+    """Return a list of human-readable violations; empty means valid.  Each
+    id and sign is quoted to at most 40 characters."""
     issues = []
     seen_vids = set()
     for v in d.vertices:
         if v.id in seen_vids:
-            issues.append(f"duplicate-vertex v{v.id}")
+            issues.append(f"duplicate-vertex v{v.id!s:.40}")
         seen_vids.add(v.id)
         if len(v.incident) < 1:
-            issues.append(f"empty-vertex v{v.id}")
+            issues.append(f"empty-vertex v{v.id!s:.40}")
         for s, direction in v.incident:
             if direction not in ("in", "out"):
-                issues.append(f"bad-direction v{v.id} s{s}")
+                issues.append(f"bad-direction v{v.id!s:.40} s{s!s:.40}")
     for c in d.crossings:
         if c.sign not in (1, -1):
-            issues.append(f"bad-sign crossing {c}")
+            fields = ", ".join(f"{name}={x!s:.40}"
+                               for name, x in zip(c._fields, c))
+            issues.append(f"bad-sign crossing Crossing({fields})")
 
     heads, tails = {}, {}
-    for (tag, owner, slot), s, kind in _slot_ends(d):
-        where = f"v{owner}[{slot}]" if tag == "v" else f"x{owner}.{slot}"
+    for end, s, kind in _slot_ends(d):
         table = heads if kind == "head" else tails
         if s in table:
-            issues.append(f"double-{kind} s{s} ({table[s]} and {where})")
-        table[s] = where
+            issues.append(f"double-{kind} s{s!s:.40} "
+                          f"({_where(*table[s])} and {_where(*end)})")
+        table[s] = end
 
     for s in sorted(set(heads) | set(tails)):
         if s < 0:
-            issues.append(f"negative-segment s{s}")
+            issues.append(f"negative-segment s{s!s:.40}")
         if s not in heads:
-            issues.append(f"dangling-segment s{s} (no head attachment)")
+            issues.append(f"dangling-segment s{s!s:.40} (no head attachment)")
         if s not in tails:
-            issues.append(f"dangling-segment s{s} (no tail attachment)")
+            issues.append(f"dangling-segment s{s!s:.40} (no tail attachment)")
     if d.free_loops < 0:
         issues.append("negative-free-loops")
     return issues

@@ -1,7 +1,10 @@
-"""Black-box CLI tests: exit codes, exact output bytes, determinism, and
-the refusals: the Yamada cost estimate and the bound on free loops."""
+"""Black-box CLI tests: exit codes, exact output bytes, determinism, the
+refusals (the Yamada cost estimate and the bound on free loops), and the
+process exit through `os._exit`, which must lose no output."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -11,7 +14,7 @@ import time
 
 import pytest
 
-from sginv import catalog
+from sginv import catalog, cli
 from sginv.constituents import enumerate_constituents, hamiltonian_constituents
 from sginv.diagram import Diagram, parse_document, serialize
 from sginv.laurent import LaurentPoly
@@ -26,6 +29,12 @@ CLI = [sys.executable, "-m", "sginv.cli"]
 def run_cli(*args, env_extra=None, **kwargs):
     return subprocess.run(CLI + list(args), capture_output=True,
                           env={**os.environ, **(env_extra or {})}, **kwargs)
+
+
+def _buffered_env():
+    """The environment without PYTHONUNBUFFERED, so the child's stdout is
+    block-buffered and only an explicit flush writes its tail."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 def _limit_memory():
@@ -521,6 +530,102 @@ def test_constituents_k5_listing(tmp_path):
     listing = _peak_rss_kb(*args)
     validate = _peak_rss_kb("validate", str(path))
     assert listing - validate <= 4 * 1024, (listing, validate)
+
+
+K5_LISTING_SHA256 = ("b83e203e1f259acc9d568b0107c7b58c2503195f"
+                     "4f608da63f799ae5a1b87a54")
+
+
+def test_fast_exit_writes_the_whole_listing(tmp_path):
+    """K5's listing to a regular file, block-buffered: the process ends in
+    os._exit, so only main()'s flush writes the last buffer."""
+    args = ["constituents", fixture_path("k5.json"), "--invariant",
+            "determinant"]
+    out = tmp_path / "out"
+    with open(out, "wb") as fh:
+        r = subprocess.run(CLI + args, stdout=fh, stderr=subprocess.PIPE,
+                           env=_buffered_env(), timeout=60)
+    assert r.returncode == 0 and r.stderr == b""
+    data = out.read_bytes()
+    assert len(data) == 746_528
+    assert hashlib.sha256(data).hexdigest() == K5_LISTING_SHA256
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.run(args) == 0
+    assert buf.getvalue().encode() == data
+
+
+def test_fast_exit_writes_the_whole_refusal(tmp_path):
+    err = tmp_path / "err"
+    with open(err, "wb") as fh:
+        r = subprocess.run(CLI + ["yamada", fixture_path("k7.json")],
+                           stdout=subprocess.PIPE, stderr=fh,
+                           env=_buffered_env(), timeout=60)
+    assert r.returncode == 1 and r.stdout == b""
+    assert err.read_bytes() == (
+        b"sginv: estimated Yamada cost at least 1.5e+11 (widest frontier 12)"
+        b" is above the limit of 3e+10\n")
+
+
+@pytest.mark.parametrize("fixture, code, out", [
+    ("trefoil.json", 0, b"ok\n"),
+    ("broken.json", 1, b"double-head s0 (v0[0] and v0[1])\n"
+                       b"dangling-segment s0 (no tail attachment)\n"),
+    ("bad_syntax.json", 2, b""),
+])
+def test_fast_exit_runs_atexit_callbacks(fixture, code, out):
+    """A callback registered before the CLI module runs as __main__ still
+    runs, after stdout is flushed, and the exit code comes through.  The
+    callback writes to the file descriptor, so it flushes nothing itself."""
+    script = ("import atexit, os, runpy\n"
+              "atexit.register(os.write, 1, b'atexit ran\\n')\n"
+              "runpy.run_module('sginv.cli', run_name='__main__')\n")
+    r = subprocess.run([sys.executable, "-c", script, "validate",
+                        fixture_path(fixture)], capture_output=True,
+                       env=_buffered_env(), timeout=60)
+    assert r.returncode == code
+    assert r.stdout == out + b"atexit ran\n"
+    assert r.stderr.count(b"\n") == (code == 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "FILE"], ["yamada", "FILE"],
+    ["colorings", fixture_path("trefoil.json"), "--quandle", "FILE"],
+], ids=["validate", "yamada", "quandle"])
+def test_non_utf8_input_is_an_input_error(tmp_path, argv):
+    path = tmp_path / "d.json"
+    path.write_bytes(b"\xff\xfe{}")
+    r = run_cli(*[str(path) if a == "FILE" else a for a in argv], timeout=10)
+    assert r.returncode == 2 and r.stdout == b""
+    assert r.stderr == f"sginv: cannot read {path}: not UTF-8 text\n".encode()
+
+
+def test_validate_listing_quotes_ids_briefly(tmp_path):
+    """A 4,000-digit segment id and a duplicated vertex id: the violation
+    listing on stdout and require_valid's refusal on stderr quote each id
+    to 40 characters; a short bad sign still reads as the Crossing repr."""
+    doc = json.loads(read_fixture("theta_trivial.json"))
+    doc["vertices"][0]["incident"][0][0] = "s" + "9" * 4000
+    doc["vertices"][1]["id"] = 0
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    nines = b"s" + b"9" * 40
+    listing = (b"duplicate-vertex v0\n"
+               b"dangling-segment s0 (no tail attachment)\n"
+               b"dangling-segment " + nines + b" (no head attachment)\n")
+    r = run_cli("validate", str(path), timeout=10)
+    assert (r.returncode, r.stdout, r.stderr) == (1, listing, b"")
+    r = run_cli("yamada", str(path), timeout=10)
+    assert r.returncode == 2 and r.stdout == b""
+    assert r.stderr == (f"sginv: {path}: ".encode()
+                        + listing[:-1].replace(b"\n", b"; ") + b"\n")
+    doc = json.loads(read_fixture("trefoil.json"))
+    doc["crossings"][0]["sign"] = 2
+    path.write_text(json.dumps(doc))
+    r = run_cli("validate", str(path), timeout=10)
+    assert r.returncode == 1 and r.stdout == (
+        b"bad-sign crossing Crossing(over_in=2, over_out=3, under_in=5, "
+        b"under_out=6, sign=2)\n")
 
 
 def test_closed_stdout_pipe():

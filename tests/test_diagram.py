@@ -125,6 +125,33 @@ def test_validate_report_order():
     ]
 
 
+def test_validate_quotes_long_ids():
+    """Every id and sign in a violation is cut to 40 characters, each
+    field of a bad-sign crossing on its own."""
+    big = int("9" * 4000)
+    d = Diagram((VertexNode(big, ((big, "in"), (big, "in"),
+                                  (-big, "sideways"))),
+                 VertexNode(big, ())),
+                (Crossing(over_in=big, over_out=1, under_in=2, under_out=3,
+                          sign=-big),), 0)
+    n, neg = "9" * 40, "-" + "9" * 39
+    assert validate(d) == [
+        f"bad-direction v{n} s{neg}",
+        f"duplicate-vertex v{n}",
+        f"empty-vertex v{n}",
+        f"bad-sign crossing Crossing(over_in={n}, over_out=1, under_in=2, "
+        f"under_out=3, sign={neg})",
+        f"double-head s{n} (v{n}[0] and v{n}[1])",
+        f"double-head s{n} (v{n}[1] and x0.over_in)",
+        f"negative-segment s{neg}",
+        f"dangling-segment s{neg} (no head attachment)",
+        "dangling-segment s1 (no head attachment)",
+        "dangling-segment s2 (no tail attachment)",
+        "dangling-segment s3 (no head attachment)",
+        f"dangling-segment s{n} (no tail attachment)",
+    ]
+
+
 def test_validate_accepts_corpus():
     for name, d in small_corpus().items():
         assert validate(d) == [], name

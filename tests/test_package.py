@@ -45,6 +45,7 @@ TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 # check itself loads nothing.
 LOAD_SET = """
 import json, runpy, sys, types
+import os; os._exit = sys.exit
 code = None
 try:
     runpy.run_module("sginv.cli", run_name="__main__")
