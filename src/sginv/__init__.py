@@ -27,8 +27,8 @@ _EXPORTS = {
     "alexander": ("alexander_polynomial", "build_alexander_matrix",
                   "check_balanced", "gcd_of_minors", "graph_determinant",
                   "uniform_weights", "wirtinger_presentation"),
-    "quandle": ("FiniteQuandle", "count_colorings", "dihedral_quandle",
-                "is_p_colorable", "trivial_quandle", "verify_quandle"),
+    "quandle": ("FiniteQuandle", "affine_quandle", "count_affine_colorings",
+                "count_colorings", "is_p_colorable", "verify_quandle"),
     "constituents": ("conway_gordon_sum", "constituent_fingerprint",
                      "enumerate_constituents", "hamiltonian_constituents"),
 }

@@ -18,6 +18,7 @@ import atexit
 import json
 import os
 import sys
+from math import gcd
 
 from . import alexander, constituents, diagram, quandle, yamada
 
@@ -114,10 +115,8 @@ def _read_quandle(path):
 def _cmd_validate(args):
     d, _ = _load(args, check=False)
     issues = diagram.validate(d)
-    if args.json:
-        print(_dump({"valid": not issues, "violations": issues}))
-    else:
-        print("ok" if not issues else "\n".join(issues))
+    _emit(args, {"valid": not issues, "violations": issues},
+          "\n".join(issues) or "ok")
     return 0 if not issues else 1
 
 
@@ -147,12 +146,16 @@ def _cmd_determinant(args):
 
 def _cmd_colorings(args):
     d, _ = _load(args)
-    if args.dihedral is not None:
-        count = quandle.count_dihedral_colorings(d, args.dihedral)
-    elif args.trivial is not None:
-        count = quandle.count_trivial_colorings(d, args.trivial)
+    if args.quandle is None:
+        n, a = (args.dihedral, -1) if args.dihedral else (args.trivial, 1)
+        count = quandle.count_affine_colorings(d, n, a)
     else:
-        count = quandle.count_colorings(d, _read_quandle(args.quandle))
+        X = _read_quandle(args.quandle)
+        a = X.op[1 % X.n][0] if X.n else 0    # the empty table is searched
+        if gcd(a, X.n) == 1 and X == quandle.affine_quandle(X.n, a):
+            count = quandle.count_affine_colorings(d, X.n, a)
+        else:
+            count = quandle.count_colorings(d, X)
     try:
         text = str(count)    # json.dumps stops at the same digit limit
     except ValueError:
@@ -202,12 +205,9 @@ def _cmd_constituents(args):
 def _cmd_group(args):
     d, _ = _load(args)
     pres = alexander.wirtinger_presentation(d)
-    if args.json:
-        print(_dump({"generators": list(pres.generators),
-                     "relators": [[[g, e] for g, e in rel]
-                                  for rel in pres.relators]}))
-    else:
-        print(pres.render())
+    _emit(args, {"generators": list(pres.generators),
+                 "relators": [[[g, e] for g, e in rel]
+                              for rel in pres.relators]}, pres.render())
     return 0
 
 
@@ -334,7 +334,10 @@ def main(argv=None):
     """Run the CLI and end the process with its exit code; never returns.
     stdout and stderr are flushed and the `atexit` callbacks run, then
     `os._exit` skips the interpreter's teardown.  Usage errors and --help
-    leave through argparse's SystemExit as before."""
+    leave through argparse's SystemExit as before.  A stream closed at the
+    start (`>&-`) is None in `sys`, and its output goes to the null device."""
+    sys.stdout = sys.stdout or open(os.devnull, "w")
+    sys.stderr = sys.stderr or open(os.devnull, "w")
     try:
         code = run(argv)
         sys.stdout.flush()

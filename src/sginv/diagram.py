@@ -324,9 +324,10 @@ def derive_edges(d: Diagram) -> Partition:
 def wirtinger_relations(d: Diagram):
     """The Wirtinger relation table: (arcs, crossing rows, vertex rows).
 
-    One (a, b, c, sign) per crossing, in stored order: the under strand
-    runs from arc a to arc c under the over arc b, so a holds under_in at
-    sign +1 and under_out at sign -1.  One ((arc, eps), ...) per vertex, in
+    One (a, b, c, sign) per crossing, in stored order, written as a
+    positive one, so c = a > b in a quandle coloring whatever the sign: b
+    is the over arc, a holds under_in at sign +1 and under_out at sign -1,
+    and c the other under end.  One ((arc, eps), ...) per vertex, in
     stored order, its incidences in stored cyclic order with eps = +1 for
     "in" and -1 for "out".  Free loops have no arcs here.
     """

@@ -3,16 +3,17 @@
 A quandle is a set with operations x > y and x >^-1 y satisfying
 idempotence, right-invertibility and right self-distributivity.  Colorings
 assign quandle elements to the arcs of a diagram subject to the relations of
-`diagram.wirtinger_relations`: a >^s b = c at each crossing row
-(a, b, c, s), and at each vertex row the composite translation by its arc
-colors, with its signs eps, fixes the color of every arc of the diagram.
+`diagram.wirtinger_relations`: c = a > b at each crossing row (a, b, c, s),
+whatever its sign, since the rows are written as positive crossings, and at
+each vertex row the composite translation by its arc colors, with its signs
+eps, fixes the color of every arc of the diagram.
 
 `count_colorings` searches for the colorings by any finite quandle table.
-The dihedral quandle R_n is linear, so `count_dihedral_colorings` counts
-its colorings as the kernel of the integer Fox coloring matrix mod n, read
-off the matrix's invariant factors without factoring n, and the trivial
-quandle's count is a power of n (`count_trivial_colorings`).  Miller-Rabin
-(`is_prime`) only checks the prime of `is_p_colorable`.
+The affine quandle Aff(Z_n, a), x > y = ax + (1 - a)y, is linear, and so
+are R_n (a = -1) and the trivial quandle (a = 1): `count_affine_colorings`
+counts its colorings as the kernel of integer relation rows mod n, read off
+their invariant factors without factoring n.  Miller-Rabin (`is_prime`)
+only checks the prime of `is_p_colorable`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import deque
 from math import gcd, prod
 from typing import NamedTuple
 
-from .diagram import Diagram, derive_edges, require_valid, wirtinger_relations
+from .diagram import Diagram, require_valid, wirtinger_relations
 from .laurent import invariant_factors
 
 
@@ -99,20 +100,13 @@ def verify_quandle(op, inv=None):
     return violations
 
 
-def dihedral_quandle(n: int) -> FiniteQuandle:
-    """R_n: elements 0..n-1 with x > y = 2y - x mod n (involutory)."""
+def affine_quandle(n: int, a: int) -> FiniteQuandle:
+    """Aff(Z_n, a): x > y = ax + (1 - a)y mod n, a quandle when a is a unit
+    mod n.  R_n is a = -1 (involutory), the trivial quandle a = 1."""
     if n < 1:
         raise QuandleError("order must be >= 1")
-    op = tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n))
-    return FiniteQuandle(n, op, op)
-
-
-def trivial_quandle(n: int) -> FiniteQuandle:
-    """x > y = x for all x, y."""
-    if n < 1:
-        raise QuandleError("order must be >= 1")
-    op = tuple(tuple(x for _ in range(n)) for x in range(n))
-    return FiniteQuandle(n, op, op)
+    return FiniteQuandle.from_op([[(a * x + (1 - a) * y) % n for y in range(n)]
+                                  for x in range(n)])
 
 
 def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
@@ -120,7 +114,9 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
 
     Backtracking with crossing-relation pruning on an explicit stack of
     color iterators, one per depth, so no input reaches the recursion
-    limit; the vertex condition (the composite translation at each vertex
+    limit.  Every crossing row (a, b, c, s) reads c = a > b, whatever its
+    sign, since `wirtinger_relations` writes it as a positive crossing; the
+    vertex condition (the composite translation at each vertex
     fixes every arc color, following the every-generator quantifier of the
     vertex relation) is checked on complete assignments.  A free loop is one
     more arc under no crossing relation, as a kink would be: it takes any
@@ -178,8 +174,8 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
         arc, checks = order[depth], checks_at[depth]
         for col in stack[depth]:
             colors[arc] = col
-            for a, b, c, s in checks:
-                if X.apply(colors[a], colors[b], s) != colors[c]:
+            for a, b, c, _ in checks:
+                if X.op[colors[a]][colors[b]] != colors[c]:
                     break
             else:
                 if depth + 1 < n_arcs:
@@ -192,36 +188,44 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
     return total
 
 
-def count_dihedral_colorings(d: Diagram, n: int) -> int:
-    """count_colorings(d, R_n) by linear algebra.  x > y = 2y - x, so a
-    crossing asks 2b - a - c = 0 mod n.  At a vertex with arcs a_1, a_2, ...
-    the composite translation takes x to x + 2D, D = -a_1 + a_2 - ..., at
-    even degree, and to 2S - x, S = a_1 - a_2 + ..., at odd degree: it fixes
-    every color when 2D = 0, and a color x only when 2x = 2S.  So an odd
-    vertex asks 2(a - a_0) = 0 for every arc a and 2(a_0 - S) = 0, and leaves
-    a free loop gcd(2, n) colors (n without odd vertices).  The count is the
-    kernel mod n of these rows, read off their invariant factors s_i as
-    n^(arcs - rank) prod gcd(s_i, n), with no need to factor n."""
+def count_affine_colorings(d: Diagram, n: int, a: int) -> int:
+    """count_colorings(d, affine_quandle(n, a)) by linear algebra.  A
+    crossing row (x, y, z, s) asks ax + (1 - a)y - z = 0 mod n.  The
+    translations of a vertex compose to x -> Ax + L, A a power of a and L
+    linear in its arc colors, which fixes every arc color c_j when
+    (A - 1)c_0 + L = 0 and (A - 1)(c_j - c_0) = 0.  With g the gcd of A - 1
+    over the vertices the second is g(c_j - c_0) = 0, and a free loop takes
+    gcd(g, n) colors (n without vertices).  The count is the kernel mod n of
+    these rows, read off their invariant factors s_i as
+    n^(arcs - rank) prod gcd(s_i, n), with no need to factor n.  a = +-1 is
+    its own inverse and is not reduced mod n, so R_n's rows keep entries of
+    at most 2."""
     require_valid(d)
-    if n < 1:
-        raise QuandleError("order must be >= 1")
+    if n < 1 or gcd(a, n) != 1:
+        raise QuandleError("the order must be >= 1 and a a unit mod it")
+    self_inverse = a in (1, -1)
+    # x >^eps y = t[eps] x + (1 - t[eps]) y
+    t = {1: a, -1: a if self_inverse else pow(a, -1, n)}
     arcs, crossing_rows, vertex_rows = wirtinger_relations(d)
-    rows = [[0] * len(arcs) for _ in crossing_rows + vertex_rows]
-    for row, (a, b, c, _) in zip(rows, crossing_rows):
-        row[a] -= 1
-        row[b] += 2
-        row[c] -= 1
-    odd = any(len(v_row) % 2 for v_row in vertex_rows)
-    for row, v_row in zip(rows[len(crossing_rows):], vertex_rows):
-        for i, (arc, _) in enumerate(v_row):
-            row[arc] += 2 if i % 2 else -2
-        if len(v_row) % 2:
-            row[0] += 2
-    for a in range(1, len(arcs) if odd else 0):
-        rows.append([-2] + [0] * (len(arcs) - 1))
-        rows[-1][a] += 2
+    rows = [[0] * len(arcs) for _ in crossing_rows]
+    for row, (x, y, z, _) in zip(rows, crossing_rows):
+        row[x] += a    # += since a kink names one arc twice
+        row[y] += 1 - a
+        row[z] -= 1
+    g = 0
+    for v_row in vertex_rows:
+        row, A = [0] * len(arcs), 1    # composed from the last translation
+        for arc, eps in reversed(v_row):
+            row[arc] += (1 - t[eps]) * A
+            A = A * t[eps] if self_inverse else A * t[eps] % n
+        row[0] += A - 1
+        rows.append(row)
+        g = gcd(g, A - 1)
+    for j in range(1, len(arcs) if g % n else 0):
+        rows.append([-g] + [0] * (len(arcs) - 1))
+        rows[-1][j] += g
     s = invariant_factors(rows)
-    return ((gcd(2, n) if odd else n) ** d.free_loops
+    return (gcd(g, n) ** d.free_loops
             * prod(gcd(f, n) for f in s) * n ** (len(arcs) - len(s)))
 
 
@@ -258,18 +262,9 @@ def is_prime(p):
     return True
 
 
-def count_trivial_colorings(d: Diagram, n: int) -> int:
-    """Colorings by the trivial quandle of order n: under arcs agree at each
-    crossing, so each edge and each free loop takes any one color."""
-    require_valid(d)
-    if n < 1:
-        raise QuandleError("order must be >= 1")
-    return n ** (len(derive_edges(d)) + d.free_loops)
-
-
 def is_p_colorable(d: Diagram, p: int) -> bool:
     """True when a non-constant dihedral-p coloring exists (a nonempty
     diagram has p constant ones, the empty diagram one coloring)."""
     if not is_prime(p):
         raise QuandleError(f"{p} is not prime")
-    return count_dihedral_colorings(d, p) > p
+    return count_affine_colorings(d, p, -1) > p

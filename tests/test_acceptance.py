@@ -12,7 +12,7 @@ from sginv.diagram import Diagram
 from sginv.graphs import AbstractGraph
 from sginv.laurent import LaurentPoly
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, mirror
-from sginv.quandle import count_colorings, dihedral_quandle
+from sginv.quandle import affine_quandle, count_colorings
 from sginv.yamada import (eval_crossing_free, sigma, yamada_normalized,
                           yamada_raw)
 
@@ -114,12 +114,12 @@ def test_criterion_5_knot_alexander_values():
 
 def test_criterion_6_quandle_counts():
     tre = catalog.trefoil()
-    ok = count_colorings(tre, dihedral_quandle(3)) == 9
-    ok = ok and count_colorings(tre, dihedral_quandle(5)) == 5
+    ok = count_colorings(tre, affine_quandle(3, -1)) == 9
+    ok = ok and count_colorings(tre, affine_quandle(5, -1)) == 5
     rng = random.Random(55)
     for name, d in corpus().items():
         segs = sorted(d.segment_ids())
-        for q in (dihedral_quandle(3), dihedral_quandle(5)):
+        for q in (affine_quandle(3, -1), affine_quandle(5, -1)):
             base = count_colorings(d, q)
             for seg in segs:
                 ok = ok and count_colorings(

@@ -281,6 +281,18 @@ def test_colorings():
     assert run_cli("colorings", fixture_path("trefoil.json")).returncode == 2
 
 
+@pytest.mark.parametrize("diagram, table, count", [
+    ("k5.json", "r7.json", b"117649"), ("figure_eight.json",
+     "affine5_3.json", b"5"), ("trefoil.json", "s4_4cycles.json", b"30")])
+def test_colorings_by_table(diagram, table, count):
+    """R_7 and Z_5 with t = 3 are affine in their own labels and take the
+    linear count (K5 by R_7 is out of the search's reach); the 4-cycles of
+    S_4 are searched."""
+    r = run_cli("colorings", fixture_path(diagram), "--quandle",
+                fixture_path(table), timeout=10)
+    assert r.returncode == 0 and r.stdout == count + b"\n"
+
+
 def test_large_orders_in_closed_form():
     """R_1000 and the trivial quandle of order 1000 are counted without a
     table: the trefoil has 1000 colorings by each (det 3 is prime to 1000,
@@ -640,6 +652,24 @@ def test_closed_stdout_pipe():
     err = p.stderr.read()
     assert p.wait(timeout=60) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("fd, argv, code", [
+    (1, ["validate", "trefoil.json"], 0), (1, ["validate", "broken.json"], 1),
+    (1, ["yamada", "bad_syntax.json"], 2),
+    (1, ["constituents", "theta_5_4.json", "--invariant", "yamada"], 0),
+    (2, ["validate", "broken.json"], 1), (2, ["yamada", "bad_syntax.json"], 2),
+], ids=["out-ok", "out-invalid", "out-bad-input", "out-listing", "err-invalid",
+        "err-bad-input"])
+def test_closed_standard_stream(fd, argv, code):
+    """Started with fd 1 or fd 2 closed (`>&-`, `2>&-`), the CLI keeps its
+    exit code, writes no traceback, and the other stream is unchanged."""
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
+    r = run_cli(*argv, preexec_fn=lambda: os.close(fd))
+    plain = run_cli(*argv)
+    assert r.returncode == plain.returncode == code
+    assert (r.stdout, r.stderr) == ((b"", plain.stderr) if fd == 1
+                                    else (plain.stdout, b""))
 
 
 def test_constituents_document():

@@ -19,7 +19,7 @@ from helpers import fixture_path
 ENGINE = ("diagram", "graphs", "laurent", "moves", "yamada", "alexander",
           "quandle", "constituents")
 
-# the names the package exported when it imported every module eagerly
+# the public names of the package
 PUBLIC = {
     "Crossing", "Diagram", "DiagramError", "VertexNode", "derive_arcs",
     "derive_edges", "parse_diagram", "parse_document", "resolve_crossing",
@@ -30,8 +30,9 @@ PUBLIC = {
     "YamadaResult", "eval_crossing_free", "sigma", "yamada_normalized",
     "yamada_raw", "alexander_polynomial", "build_alexander_matrix",
     "check_balanced", "gcd_of_minors", "graph_determinant", "uniform_weights",
-    "wirtinger_presentation", "FiniteQuandle", "count_colorings",
-    "dihedral_quandle", "is_p_colorable", "trivial_quandle", "verify_quandle",
+    "wirtinger_presentation", "FiniteQuandle", "affine_quandle",
+    "count_affine_colorings", "count_colorings", "is_p_colorable",
+    "verify_quandle",
     "conway_gordon_sum", "constituent_fingerprint", "enumerate_constituents",
     "hamiltonian_constituents",
 }

@@ -1,9 +1,10 @@
 """Finite quandles and coloring counts: axioms, an exhaustive Fox-coloring
-oracle, move invariance, constant-coloring behavior, and the linear dihedral
-and closed-form trivial counts against the search, the invariant-factor
-kernel count against enumeration, and Miller-Rabin primality against trial
-division."""
+oracle, move invariance (also for non-involutory quandles), constant-coloring
+behavior, the linear affine count against the search and against the
+Alexander polynomial, the invariant-factor kernel count against enumeration,
+and Miller-Rabin primality against trial division."""
 
+import json
 import random
 from itertools import product
 from math import gcd, prod
@@ -11,32 +12,64 @@ from math import gcd, prod
 import pytest
 
 from sginv import catalog
+from sginv.alexander import alexander_polynomial
 from sginv.diagram import Diagram, derive_arcs, parse_document
 from sginv.laurent import invariant_factors
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, disjoint_union
 from sginv.quandle import (PRIME_LIMIT, FiniteQuandle, QuandleError,
-                           count_colorings, count_dihedral_colorings,
-                           count_trivial_colorings, dihedral_quandle,
-                           is_p_colorable, is_prime, trivial_quandle,
+                           affine_quandle, count_affine_colorings,
+                           count_colorings, is_p_colorable, is_prime,
                            verify_quandle)
 
 from helpers import (count_constant_colorings, read_fixture, small_corpus,
                      trial_division_is_prime)
 
 
+def units(n):
+    """-1 and every unit of Z_n in 0..n-1: the a of Aff(Z_n, a).  a = -1
+    gives R_n, as --dihedral and pcolor ask, and a = 1 the trivial
+    quandle."""
+    return [-1] + [a for a in range(n) if gcd(a, n) == 1]
+
+
+def table_quandle(name):
+    return FiniteQuandle.from_op(json.loads(read_fixture(name))["op"])
+
+
+def tetrahedral_quandle():
+    """Aff(GF(4), w): x > y = wx + (1 - w)y = w(x + y) + y, an element
+    b1 w + b0 of GF(4) being the bits b1 b0 and w^2 = w + 1."""
+    def times_w(x):
+        return ((x << 1) & 3) ^ (3 if x & 2 else 0)
+    return FiniteQuandle.from_op([[times_w(x ^ y) ^ y for y in range(4)]
+                                  for x in range(4)])
+
+
+def non_involutory_quandles():
+    """x >^-1 y differs from x > y in each.  The last two are not affine
+    over Z_n, so only the search counts them; Z_8 with t = 3 is left out,
+    being involutory (9 = 1 mod 8)."""
+    return {"Z5,t=2": affine_quandle(5, 2), "Z5,t=3": affine_quandle(5, 3),
+            "Z7,t=3": affine_quandle(7, 3),
+            "tetrahedral": tetrahedral_quandle(),
+            "S4 4-cycles": table_quandle("s4_4cycles.json")}
+
+
 def test_builtin_families_satisfy_axioms():
     for n in range(1, 8):
-        assert verify_quandle(dihedral_quandle(n).op) == []
-        assert verify_quandle(trivial_quandle(n).op) == []
+        for a in units(n):
+            assert verify_quandle(affine_quandle(n, a).op) == [], (n, a)
+    for name, X in non_involutory_quandles().items():
+        assert verify_quandle(X.op) == [] and X.op != X.inv, name
 
 
 def test_perturbed_table_fails_axioms():
-    q = dihedral_quandle(5)
+    q = affine_quandle(5, -1)
     op = [list(row) for row in q.op]
     op[1][3] = (op[1][3] + 1) % 5
     assert verify_quandle(tuple(tuple(r) for r in op)) != []
     # idempotence violation specifically
-    op = [list(row) for row in trivial_quandle(3).op]
+    op = [list(row) for row in affine_quandle(3, 1).op]
     op[0][0] = 1
     violations = verify_quandle(tuple(tuple(r) for r in op))
     assert any(axiom == 1 for axiom, _ in violations)
@@ -44,24 +77,29 @@ def test_perturbed_table_fails_axioms():
 
 def test_inverse_operation():
     rng = random.Random(12)
-    for n in (3, 4, 5):
-        q = dihedral_quandle(n)
-        for _ in range(30):
-            x, y = rng.randrange(n), rng.randrange(n)
-            assert q.apply(q.apply(x, y, 1), y, -1) == x
-            assert q.apply(q.apply(x, y, -1), y, 1) == x
+    for n in (3, 4, 5, 7):
+        for a in units(n):
+            q = affine_quandle(n, a)
+            for _ in range(30):
+                x, y = rng.randrange(n), rng.randrange(n)
+                assert q.apply(q.apply(x, y, 1), y, -1) == x
+                assert q.apply(q.apply(x, y, -1), y, 1) == x
 
 
 def test_from_op_derives_inverse():
-    q = FiniteQuandle.from_op(dihedral_quandle(7).op)
-    assert q.inv == dihedral_quandle(7).inv
+    """The inverse of Aff(Z_n, a) is Aff(Z_n, 1/a); R_n is its own."""
+    assert affine_quandle(7, -1).inv == affine_quandle(7, -1).op
+    assert affine_quandle(7, 3).inv == affine_quandle(7, 5).op
+    assert affine_quandle(9, 2).inv == affine_quandle(9, 5).op
 
 
 def test_bad_orders_rejected():
     with pytest.raises(QuandleError):
-        dihedral_quandle(0)
+        affine_quandle(0, -1)
     with pytest.raises(QuandleError):
-        trivial_quandle(-2)
+        affine_quandle(-2, 1)
+    with pytest.raises(QuandleError):
+        affine_quandle(6, 2)    # not a unit: x > 0 = 2x is not a bijection
 
 
 def fox_coloring_count(d, p):
@@ -85,8 +123,8 @@ def fox_coloring_count(d, p):
 
 def test_trefoil_coloring_counts():
     tre = catalog.trefoil()
-    assert count_colorings(tre, dihedral_quandle(3)) == 9
-    assert count_colorings(tre, dihedral_quandle(5)) == 5
+    assert count_colorings(tre, affine_quandle(3, -1)) == 9
+    assert count_colorings(tre, affine_quandle(5, -1)) == 5
     assert fox_coloring_count(tre, 3) == 9
     assert fox_coloring_count(tre, 5) == 5
 
@@ -95,7 +133,7 @@ def test_counts_match_fox_oracle_on_knots():
     for d in (catalog.kinked_unknot(1), catalog.trefoil(),
               catalog.figure_eight()):
         for p in (3, 5, 7):
-            assert count_colorings(d, dihedral_quandle(p)) == \
+            assert count_colorings(d, affine_quandle(p, -1)) == \
                 fox_coloring_count(d, p)
 
 
@@ -104,14 +142,14 @@ def test_trivial_quandle_counts_components():
     # under arcs equal, so the count is n^(number of link components)
     tre = catalog.trefoil()
     for n in (2, 3, 4):
-        assert count_colorings(tre, trivial_quandle(n)) == n
+        assert count_colorings(tre, affine_quandle(n, 1)) == n
 
 
 def test_count_invariance_under_moves():
     rng = random.Random(2718)
     for name, d in small_corpus().items():
         segs = sorted(d.segment_ids())
-        for q in (dihedral_quandle(3), dihedral_quandle(5)):
+        for q in (affine_quandle(3, -1), affine_quandle(5, -1)):
             base = count_colorings(d, q)
             for seg in segs:
                 assert count_colorings(apply_r1(d, seg, 1), q) == base
@@ -127,8 +165,8 @@ def test_constant_colorings():
     for name, d in small_corpus().items():
         if not derive_arcs(d).classes:
             continue  # no arcs: only the empty coloring exists
-        for q in (dihedral_quandle(3), dihedral_quandle(5),
-                  trivial_quandle(4)):
+        for q in (affine_quandle(3, -1), affine_quandle(5, -1),
+                  affine_quandle(4, 1), *non_involutory_quandles().values()):
             constants = count_constant_colorings(d, q)
             assert constants == q.n, name
             assert count_colorings(d, q) >= constants
@@ -166,16 +204,69 @@ def seeded_moves(rng, d, count):
     return d
 
 
-def assert_dihedral_matches_search(d, orders, label):
+# the knot and theta-curve fixtures: no free loop, one or three edges
+MOVED = ("figure_eight", "kink_neg", "kink_pos", "knot_5_2", "theta_5_3",
+         "theta_5_4", "theta_trivial", "theta_weighted", "torus_2_5",
+         "trefoil")
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_count_invariance_under_moves_non_involutory(name):
+    """Seeded R1/R2 moves keep the search's count for quandles whose
+    inverse operation differs, where a negative crossing row read with
+    >^-1 would show."""
+    d = fixture_diagrams()[name]
+    for label, X in non_involutory_quandles().items():
+        rng = random.Random(f"{name} {label}")
+        base = count_colorings(d, X)
+        for trial in range(6):
+            assert count_colorings(seeded_moves(rng, d, trial + 1), X) == \
+                base, (label, trial)
+
+
+def test_non_involutory_counts_pinned():
+    """Delta(4_1) = 1 - 3t + t^2 is 1 at t = 3 mod 5, so Z_5 with t = 3
+    colors 4_1 only constantly; the 4-cycle quandle of S_4 colors the
+    trefoil in 30 ways before and after an R2 move."""
+    fig8 = fixture_diagrams()["figure_eight"]
+    assert count_colorings(fig8, affine_quandle(5, 3)) == 5
+    assert count_affine_colorings(fig8, 5, 3) == 5
+    X, tre = table_quandle("s4_4cycles.json"), catalog.trefoil()
+    assert count_colorings(tre, X) == 30
+    assert count_colorings(apply_r2(tre, 1, 2, "over+"), X) == 30
+
+
+def test_affine_count_against_alexander_polynomial():
+    """A knot has p colorings by Aff(Z_p, a) exactly when Delta(a) is not
+    0 mod p, and a larger multiple of p otherwise; no search involved."""
+    diagrams = fixture_diagrams()
+    for name in ("figure_eight", "kink_neg", "kink_pos", "knot_5_2",
+                 "torus_2_5", "trefoil", "unknot"):
+        d = diagrams[name]
+        delta = alexander_polynomial(d, None)
+        for p in (2, 3, 5, 7, 11, 13):
+            for a in range(1, p):
+                count = count_affine_colorings(d, p, a)
+                if sum(c * pow(a, e, p) for e, c in delta.terms()) % p:
+                    assert count == p, (name, p, a)
+                else:
+                    assert count > p and count % p == 0, (name, p, a)
+
+
+def assert_affine_matches_search(d, orders, label):
+    """The linear count against the search for every a of `units`."""
     for n in orders:
-        assert count_dihedral_colorings(d, n) == \
-            count_colorings(d, dihedral_quandle(n)), (label, n)
+        for a in units(n):
+            assert count_affine_colorings(d, n, a) == \
+                count_colorings(d, affine_quandle(n, a)), (label, n, a)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_dihedral_count_matches_search_on_fixtures(name):
-    assert_dihedral_matches_search(fixture_diagrams()[name], range(1, 10),
-                                   name)
+    """The dihedral count (a = -1), and with it the trivial count (a = 1)
+    and every other affine count, against the search."""
+    assert_affine_matches_search(fixture_diagrams()[name], range(1, 10),
+                                 name)
 
 
 def test_dihedral_count_matches_search_after_moves():
@@ -188,8 +279,8 @@ def test_dihedral_count_matches_search_after_moves():
             ("theta_5_3", catalog.theta_5_3(), range(1, 10)),
             ("theta_trivial", catalog.theta_trivial(), range(1, 10))):
         for trial in range(3):
-            assert_dihedral_matches_search(seeded_moves(rng, d, trial + 1),
-                                           orders, (name, trial))
+            assert_affine_matches_search(seeded_moves(rng, d, trial + 1),
+                                         orders, (name, trial))
 
 
 def test_dihedral_count_matches_search_with_free_loops():
@@ -202,7 +293,7 @@ def test_dihedral_count_matches_search_with_free_loops():
             ("k4", Diagram(k4.vertices, k4.crossings, 1), 4),
             ("trefoil+theta", disjoint_union(tre, catalog.theta_trivial()), 9),
             ("empty", Diagram(), 9)):
-        assert_dihedral_matches_search(d, range(1, top + 1), label)
+        assert_affine_matches_search(d, range(1, top + 1), label)
 
 
 def test_dihedral_count_matches_search_on_long_closures():
@@ -213,16 +304,16 @@ def test_dihedral_count_matches_search_on_long_closures():
                                  (4, 40, 4), (4, 70, 3), (4, 100, 3)):
         word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
                 for _ in range(length)]
-        assert_dihedral_matches_search(catalog.braid_closure(strands, word),
-                                       range(1, top + 1), (strands, word))
+        assert_affine_matches_search(catalog.braid_closure(strands, word),
+                                     range(1, top + 1), (strands, word))
 
 
 def test_dihedral_count_on_even_degree_graphs():
     """K5 (degree 4) has the linear kernel 3^6 and 5^6 of fact (d)."""
     k5 = catalog.complete_graph_moment_curve(5)
-    assert count_dihedral_colorings(k5, 3) == 3 ** 6
-    assert count_dihedral_colorings(k5, 5) == 5 ** 6
-    assert_dihedral_matches_search(k5, (1, 2, 3), "K5")
+    assert count_affine_colorings(k5, 3, -1) == 3 ** 6
+    assert count_affine_colorings(k5, 5, -1) == 5 ** 6
+    assert_affine_matches_search(k5, (1, 2, 3), "K5")
 
 
 def test_kernel_size_against_enumeration():
@@ -244,32 +335,21 @@ def test_kernel_size_against_enumeration():
                 brute, (trial, m, q)
 
 
-def test_trivial_count_matches_search():
-    diagrams = fixture_diagrams()
-    diagrams.update(loops=Diagram(free_loops=2), empty=Diagram(),
-                    k4=catalog.complete_graph_moment_curve(4))
-    for name, d in diagrams.items():
-        for n in (1, 2, 3):
-            assert count_trivial_colorings(d, n) == \
-                count_colorings(d, trivial_quandle(n)), (name, n)
-
-
 def test_p_colorability_matches_search():
     diagrams = fixture_diagrams()
     diagrams.update(loops=Diagram(free_loops=2), empty=Diagram())
     for name, d in diagrams.items():
         for p in (2, 3, 5, 7):
-            X = dihedral_quandle(p)
+            X = affine_quandle(p, -1)
             assert is_p_colorable(d, p) == (
                 count_colorings(d, X) > count_constant_colorings(d, X)), \
                 (name, p)
 
 
 def test_linear_counts_reject_bad_orders():
-    for count in (count_dihedral_colorings, count_trivial_colorings):
-        for n in (0, -3):
-            with pytest.raises(QuandleError):
-                count(catalog.trefoil(), n)
+    for n, a in ((0, -1), (-3, -1), (0, 1), (-3, 1), (6, 2), (4, 0)):
+        with pytest.raises(QuandleError):
+            count_affine_colorings(catalog.trefoil(), n, a)
 
 
 def test_is_prime_matches_trial_division():
@@ -307,6 +387,6 @@ def test_dihedral_count_with_a_large_prime_factor():
     big = 10 ** 18 + 3
     for n in (big, 3 * big, 9 * big, 10 * big, (10 ** 9 + 7) * (10 ** 9 + 9),
               4 * 10 ** 27 + 6, 3 * PRIME_LIMIT ** 2):
-        assert count_dihedral_colorings(catalog.trefoil(), n) == \
+        assert count_affine_colorings(catalog.trefoil(), n, -1) == \
             n * (3 if n % 3 == 0 else 1), n
     assert not is_p_colorable(catalog.trefoil(), big)
