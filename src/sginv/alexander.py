@@ -15,12 +15,10 @@ polynomial is the gcd of the (r-1) x (r-1) minors, r the number of
 relations; the graph determinant is the integer analogue at t = -1.
 """
 
-from __future__ import annotations
+from collections import namedtuple
 
-from typing import NamedTuple
-
-from .diagram import (Diagram, DiagramError, Partition, derive_edges,
-                      require_valid, seg_to_edge_id, wirtinger_relations)
+from .diagram import (Diagram, DiagramError, derive_edges, require_valid,
+                      seg_to_edge_id, wirtinger_relations)
 from .laurent import (LaurentPoly, integer_minors_gcd, minors_gcd,
                       reduce_unit_pivots)
 # perfbench/tracer.py times the integer Bareiss under bareiss_det by this name
@@ -67,10 +65,11 @@ def check_balanced(d: Diagram, weights):
     return all(r == 0 for r in residuals.values()), residuals
 
 
-class AlexanderMatrix(NamedTuple):
-    rows: tuple           # tuple of tuples of LaurentPoly in t
-    arcs: Partition       # column order; the free loops' columns follow
-    row_labels: tuple     # "crossing i" / "vertex v" / "free loop i"
+class AlexanderMatrix(namedtuple("AlexanderMatrix", "rows arcs row_labels")):
+    """Rows of Laurent polynomials in t, the arc `Partition` giving the
+    column order (the free loops' columns follow), and row labels
+    "crossing i", "vertex v" or "free loop i"."""
+    __slots__ = ()
 
     @property
     def row_count(self):
@@ -164,9 +163,10 @@ def graph_determinant(d: Diagram, weights) -> int:
 # Wirtinger presentation
 # ---------------------------------------------------------------------------
 
-class Presentation(NamedTuple):
-    generators: tuple  # "a1", "a2", ...
-    relators: tuple    # each a tuple of (generator, exponent) letters
+class Presentation(namedtuple("Presentation", "generators relators")):
+    """Generators "a1", "a2", ... and relators, each a tuple of
+    (generator, exponent) letters."""
+    __slots__ = ()
 
     def render(self):
         def word(rel):

@@ -8,8 +8,6 @@ under_out = c; the over strand runs b -> d or d -> b, whichever is the
 successor step in the (cyclic) strand numbering 1..2n.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import accumulate, combinations
 

@@ -11,8 +11,6 @@ callbacks and ends the process with `os._exit`, skipping the interpreter's
 teardown.
 """
 
-from __future__ import annotations
-
 import argparse
 import atexit
 import json
@@ -101,13 +99,15 @@ def _read_quandle(path):
                 type(row) is list and len(row) == n
                 and all(type(x) is int for x in row) for row in op)):
             raise ValueError("expected n rows of n integers")
-    except (KeyError, TypeError, ValueError) as exc:   # JSONDecodeError too
+        X = quandle.FiniteQuandle.from_op(op)
+    # JSONDecodeError and from_op's QuandleError are ValueErrors too
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(2, f"{path}: bad quandle table: {exc}") from None
-    bad = quandle.verify_quandle(op)
+    bad = quandle.verify_quandle(X.op, X.inv)
     if bad:
         axiom, witness = bad[0]
         raise CliError(2, f"{path}: axiom {axiom} fails at {witness}")
-    return quandle.FiniteQuandle.from_op(op)
+    return X
 
 
 # -- subcommand handlers ----------------------------------------------------

@@ -15,11 +15,9 @@ without extracting the knot; `hamiltonian_constituents` extracts the same
 members and is its reference.
 """
 
-from __future__ import annotations
-
+from collections import namedtuple
 from itertools import combinations, product
 from math import prod
-from typing import NamedTuple
 
 from . import alexander, yamada
 from .diagram import (Diagram, DiagramError, UnionFind, derive_edges, rejoin,
@@ -31,11 +29,13 @@ from .laurent import integer_minors_gcd
 MAX_CHOICES = 10 ** 5
 
 
-class ConstituentLink(NamedTuple):
-    diagram: Diagram          # vertex-free link diagram (may be empty)
-    choice: tuple             # ((vertex id, (slot, slot)), ...) sorted by vertex
-    components: int
-    component_vertices: tuple  # per component, frozenset of absorbed vertices
+class ConstituentLink(namedtuple("ConstituentLink",
+                                 "diagram choice components "
+                                 "component_vertices")):
+    """A vertex-free link diagram (maybe empty), the choice that gave it,
+    ((vertex id, (slot, slot)), ...) sorted by vertex, its number of
+    components and, per component, the frozenset of vertices it absorbed."""
+    __slots__ = ()
 
     @property
     def is_empty(self):

@@ -13,23 +13,20 @@ counterclockwise (over_in, under_out, over_out, under_in) for sign +1 and
 `SMOOTHINGS`, are pairs of positions in that order.
 """
 
-from __future__ import annotations
-
 import json
+from collections import namedtuple
 from itertools import count
-from typing import NamedTuple
 
 
 class DiagramError(ValueError):
     """Malformed diagram input (syntax, duplicate ids, dangling segments)."""
 
 
-class Crossing(NamedTuple):
-    over_in: int
-    over_out: int
-    under_in: int
-    under_out: int
-    sign: int
+class Crossing(namedtuple("Crossing",
+                          "over_in over_out under_in under_out sign")):
+    """A crossing: the segments into and out of its over- and
+    under-strand, and its sign, +1 or -1."""
+    __slots__ = ()
 
     def ccw_slots(self):
         """Slot names in counterclockwise planar order, starting at over_in."""
@@ -44,15 +41,14 @@ class Crossing(NamedTuple):
 SMOOTHINGS = {"A": ((0, 1), (2, 3)), "B": ((1, 2), (3, 0))}
 
 
-class VertexNode(NamedTuple):
-    id: int
-    incident: tuple  # ((segment, "in"|"out"), ...) counterclockwise
+# a rigid vertex: its id and ((segment, "in"|"out"), ...) counterclockwise
+VertexNode = namedtuple("VertexNode", "id incident")
 
 
-class Diagram(NamedTuple):
-    vertices: tuple = ()
-    crossings: tuple = ()
-    free_loops: int = 0
+class Diagram(namedtuple("Diagram", "vertices crossings free_loops",
+                         defaults=((), (), 0))):
+    """Tuples of `VertexNode`s and `Crossing`s, and a free-loop count."""
+    __slots__ = ()
 
     def segment_ids(self):
         return {s for _, s, _ in _slot_ends(self)}
@@ -276,11 +272,12 @@ class UnionFind:
             self.parent[ra] = rb
 
 
-class Partition(NamedTuple):
-    """Segments grouped into classes, numbered by least contained segment."""
-    classes: tuple          # tuple of sorted segment tuples, sorted by min seg
-    is_closed: tuple        # per class: no vertex incidence at all
-    class_of: dict          # segment -> class index, derived from classes
+class Partition(namedtuple("Partition", "classes is_closed class_of")):
+    """Segments grouped into classes, numbered by least contained segment:
+    `classes` holds sorted segment tuples, sorted by least segment,
+    `is_closed` flags the classes with no vertex incidence at all, and
+    `class_of` maps a segment to its class index."""
+    __slots__ = ()
 
     def index_of(self, seg):
         return self.class_of[seg]

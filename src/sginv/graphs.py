@@ -5,19 +5,17 @@ plus a count of free loops (circles not attached to any vertex).  These are
 the objects the Yamada delete/contract axioms evaluate.
 """
 
-from __future__ import annotations
-
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain, groupby, permutations, product
-from typing import NamedTuple
 
 from .diagram import UnionFind
 
 
-class AbstractGraph(NamedTuple):
-    vertex_count: int
-    edges: tuple  # sorted tuple of (u, v) with u <= v
-    free_loops: int = 0
+class AbstractGraph(namedtuple("AbstractGraph",
+                               "vertex_count edges free_loops",
+                               defaults=(0,))):
+    """`edges` is a sorted tuple of pairs (u, v) with u <= v."""
+    __slots__ = ()
 
     @staticmethod
     def make(vertex_count, edges, free_loops=0):

@@ -5,8 +5,6 @@ polynomial lives in Z[A, A^-1] and the Alexander polynomial in Z[t, t^-1].
 Coefficients are arbitrary-precision Python ints; nothing is ever floated.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 from math import gcd as int_gcd, prod
 
@@ -222,17 +220,13 @@ def _poly_pseudo_rem(p, d):
     return r
 
 def _poly_gcd(p, q):
-    """GCD in Z[x] via the primitive pseudo-remainder sequence.
+    """GCD in Z[x] via the primitive pseudo-remainder sequence, of p and q
+    nonzero and trimmed: `laurent_gcd`, the only caller, handles a zero
+    argument first.
 
     Returns a primitive polynomial with positive leading coefficient times
     the gcd of the contents.
     """
-    p = _trim(list(p))
-    q = _trim(list(q))
-    if not p:
-        return q
-    if not q:
-        return p
     pp, cp = _poly_primitive(p)
     qp, cq = _poly_primitive(q)
     cont = int_gcd(cp, cq)
@@ -245,10 +239,8 @@ def _poly_gcd(p, q):
 
 
 def _to_dense(p):
-    """Dense coefficients of p with its lowest term at index 0; zero maps
-    to []."""
-    if p.is_zero():
-        return []
+    """Dense coefficients of p with its lowest term at index 0, for p
+    nonzero: `laurent_gcd`, the only caller, handles zero first."""
     k = p.min_degree
     out = [0] * (p.max_degree - k + 1)
     for e, c in p._c.items():

@@ -5,8 +5,6 @@ segments).  There is no generator for moves III-V, and no test exercises
 them yet.
 """
 
-from __future__ import annotations
-
 from .diagram import (Crossing, Diagram, DiagramError, VertexNode, Wiring,
                       derive_edges, require_valid, seg_to_edge_id)
 

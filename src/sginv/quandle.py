@@ -16,11 +16,8 @@ their invariant factors without factoring n.  Miller-Rabin (`is_prime`)
 only checks the prime of `is_p_colorable`.
 """
 
-from __future__ import annotations
-
-from collections import deque
+from collections import deque, namedtuple
 from math import gcd, prod
-from typing import NamedTuple
 
 from .diagram import Diagram, require_valid, wirtinger_relations
 from .laurent import invariant_factors
@@ -30,10 +27,9 @@ class QuandleError(ValueError):
     pass
 
 
-class FiniteQuandle(NamedTuple):
-    n: int
-    op: tuple   # op[x][y] = x > y
-    inv: tuple  # inv[x][y] = x >^-1 y
+class FiniteQuandle(namedtuple("FiniteQuandle", "n op inv")):
+    """A quandle on 0..n-1: op[x][y] = x > y, inv[x][y] = x >^-1 y."""
+    __slots__ = ()
 
     def apply(self, x, y, eps):
         return self.op[x][y] if eps == 1 else self.inv[x][y]
@@ -42,16 +38,21 @@ class FiniteQuandle(NamedTuple):
     def from_op(op):
         """Build the inverse table by inverting each right translation.
 
-        Raises QuandleError when some translation is not a bijection (the
-        table then fails axiom 2 outright).
+        Raises QuandleError, naming the defect, when an entry is not in
+        0..n-1 or some translation is not a bijection (the table then fails
+        axiom 2 outright).
         """
         n = len(op)
         inv = [[None] * n for _ in range(n)]
         for y in range(n):
             for x in range(n):
                 z = op[x][y]
-                if not 0 <= z < n or inv[z][y] is not None:
-                    raise QuandleError(f"right translation by {y} is not a bijection")
+                if not 0 <= z < n:
+                    raise QuandleError(f"op[{x}][{y}] = {z!s:.40} is not in "
+                                       f"0..{n - 1}")
+                if inv[z][y] is not None:
+                    raise QuandleError(f"the right translation by {y} "
+                                       f"(column {y} of op) is not a bijection")
                 inv[z][y] = x
         return FiniteQuandle(n, tuple(map(tuple, op)), tuple(map(tuple, inv)))
 

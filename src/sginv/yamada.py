@@ -39,10 +39,8 @@ polynomial is a regular rigid-vertex isotopy invariant; (-A)^-m R with m
 the least exponent is invariant under kinks as well.
 """
 
-from __future__ import annotations
-
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from . import graphs
 from .diagram import SMOOTHINGS, Diagram, DiagramError, require_valid
@@ -61,8 +59,9 @@ def sigma() -> LaurentPoly:
     return LaurentPoly({-1: 1, 0: 1, 1: 1}, VAR)
 
 
-def eval_crossing_free(g: graphs.AbstractGraph, memo=None) -> LaurentPoly:
-    """Evaluate an abstract multigraph by the delete/contract axioms.
+def eval_crossing_free(g, memo=None) -> LaurentPoly:
+    """Evaluate a `graphs.AbstractGraph` by the delete/contract axioms.  g
+    has no annotation, which would load `graphs` with this module.
 
     Connected components multiply; a component with a nonloop edge e splits
     as eval(G - e) + eval(G / e); what remains is a bouquet B_k worth
@@ -247,10 +246,8 @@ def yamada_raw(d: Diagram) -> LaurentPoly:
             * LaurentPoly(_sigma_power(d.free_loops), VAR))
 
 
-class YamadaResult(NamedTuple):
-    raw: LaurentPoly
-    normalized: LaurentPoly
-    min_power: int | None  # None when raw = 0
+# the raw and normalized polynomials; min_power is None when raw = 0
+YamadaResult = namedtuple("YamadaResult", "raw normalized min_power")
 
 
 def yamada_normalized(d: Diagram) -> YamadaResult:

@@ -4,8 +4,8 @@ explicit 9x10 relation matrix, random polynomial generation (seeded; every
 test run is deterministic), and the Laurent divisibility, cofactor
 determinant (over Z and Z[t^+-1]), Laurent-route graph determinant,
 constant-coloring, flat Yamada state-sum, two-pass Yamada transfer matrix
-and trial-division primality oracles, the crossing-free grid diagram, and
-two helpers only the tests use: a Laurent polynomial's value at an integer
+and trial-division primality oracles, the crossing-free grid and dumbbell
+diagrams, and two helpers only the tests use: a Laurent polynomial's value at an integer
 point and a diagram state's crossing-free residue graph.
 """
 
@@ -17,8 +17,8 @@ from itertools import product
 from sginv import catalog
 from sginv.alexander import build_alexander_matrix, check_balanced
 from sginv.diagram import (SMOOTHINGS, Diagram, DiagramError, Partition,
-                           UnionFind, parse_diagram, require_valid, serialize,
-                           wirtinger_relations)
+                           UnionFind, VertexNode, parse_diagram, require_valid,
+                           serialize, wirtinger_relations)
 from sginv.graphs import AbstractGraph
 from sginv.laurent import (LaurentPoly, from_packed, minors_gcd,
                            reduce_unit_pivots)
@@ -323,6 +323,12 @@ def grid_text(n):
                      + ([[2 * k + 1, "out"]] if i + 1 < n else []))
             vertices.append({"id": k, "incident": slots})
     return json.dumps({"vertices": vertices})
+
+
+def dumbbell():
+    """Two loops, segments 0 and 1, joined by the bridge 2; no crossing."""
+    return Diagram((VertexNode(0, ((0, "out"), (0, "in"), (2, "out"))),
+                    VertexNode(1, ((2, "in"), (1, "out"), (1, "in")))))
 
 
 def trial_division_is_prime(p):

@@ -2,7 +2,8 @@
 K7 fixtures, its crossing count, vertex order and crossing signs against an
 independent height computation, and pinned SHA-256 digests of the
 serialized K_n and of seeded braid closures, so any change to their
-segment numbering shows."""
+segment numbering shows; 4_1 from its PD code, and the refusals of a
+broken PD code and of a braid generator out of range."""
 
 import hashlib
 import random
@@ -12,7 +13,10 @@ from math import comb
 import pytest
 
 from sginv import catalog
-from sginv.diagram import derive_edges, serialize
+from sginv.alexander import (alexander_polynomial, graph_determinant,
+                             uniform_weights)
+from sginv.diagram import DiagramError, derive_edges, serialize
+from sginv.yamada import yamada_normalized
 
 from helpers import read_fixture
 
@@ -137,3 +141,33 @@ def test_braid_closure_digests():
     got = [sha256(catalog.braid_closure(*seeded_braid(seed)))
            for seed in range(len(CLOSURE_SHA256))]
     assert got == CLOSURE_SHA256
+
+
+# the Knot Atlas PD code of 4_1
+FIGURE_EIGHT_PD = [(4, 2, 5, 1), (8, 6, 1, 5), (6, 3, 7, 4), (2, 7, 3, 8)]
+
+
+def test_from_pd_negative_crossings():
+    """4_1 from its PD code has two negative crossings, and the Alexander
+    polynomial, determinant and Yamada polynomial of the catalog's
+    figure-eight."""
+    d = catalog.from_pd(FIGURE_EIGHT_PD)
+    assert [c.sign for c in d.crossings] == [-1, -1, 1, 1]
+    weights = uniform_weights(d)
+    assert str(alexander_polynomial(d, weights)) == "1 - 3t + t^2"
+    assert graph_determinant(d, weights) == 5
+    assert (yamada_normalized(d).normalized
+            == yamada_normalized(catalog.figure_eight()).normalized)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: catalog.from_pd([(4, 2, 6, 1), *FIGURE_EIGHT_PD[1:]]),
+     "under strand of X.4, 2, 6, 1. breaks numbering"),
+    (lambda: catalog.from_pd([(4, 2, 5, 7), *FIGURE_EIGHT_PD[1:]]),
+     "cannot orient over strand of X.4, 2, 5, 7."),
+    (lambda: catalog.braid_closure(3, [1, 3]), "generator 3 out of range"),
+    (lambda: catalog.braid_closure(3, [0]), "generator 0 out of range"),
+], ids=["pd-under-strand", "pd-over-strand", "braid-3", "braid-0"])
+def test_catalog_refusals(make, match):
+    with pytest.raises(DiagramError, match=match):
+        make()

@@ -21,7 +21,7 @@ from sginv.laurent import LaurentPoly
 from sginv.moves import disjoint_union, mirror
 from sginv.yamada import yamada_raw
 
-from helpers import fixture_path, grid_text as _grid, read_fixture
+from helpers import dumbbell, fixture_path, grid_text as _grid, read_fixture
 
 CLI = [sys.executable, "-m", "sginv.cli"]
 
@@ -75,6 +75,17 @@ def test_yamada_normalized_json():
     assert json.loads(r.stdout)["yamada"] == \
         [[0, -1], [1, -1], [2, -1], [3, -1], [4, -1], [10, -1], [12, -1],
          [14, -1], [16, 1], [18, 1]]
+
+
+def test_yamada_normalized_zero(tmp_path):
+    """The dumbbell's polynomial is 0: normalized, it prints as 0 and as
+    an empty term list."""
+    path = tmp_path / "dumbbell.json"
+    path.write_text(serialize(dumbbell()))
+    r = run_cli("yamada", str(path), "--normalized")
+    assert (r.returncode, r.stdout) == (0, b"0\n")
+    r = run_cli("yamada", str(path), "--normalized", "--json")
+    assert (r.returncode, r.stdout) == (0, b'{"yamada":[]}\n')
 
 
 def _assert_cost_refused(path, widest):
@@ -330,6 +341,29 @@ def test_malformed_quandle_table(tmp_path, table):
                 str(path))
     assert r.returncode == 2 and r.stdout == b""
     assert r.stderr.count(b"\n") == 1 and b"bad quandle table" in r.stderr
+
+
+@pytest.mark.parametrize("op, message", [
+    ([[0, 5], [1, 1]], "bad quandle table: op[0][1] = 5 is not in 0..1"),
+    ([[0, -int("7" * 4000)], [1, 1]],
+     "bad quandle table: op[0][1] = -" + "7" * 39 + " is not in 0..1"),
+    ([[0, 2, 1], [0, 1, 0], [2, 2, 2]],
+     "bad quandle table: the right translation by 0 (column 0 of op) is "
+     "not a bijection"),
+    ([[1, 0], [0, 1]], "axiom 1 fails at (0,)"),
+    ([[0, 2, 1], [1, 1, 0], [2, 0, 2]], "axiom 3 fails at (0, 1, 2)"),
+], ids=["out-of-range", "long-out-of-range", "not-bijective", "axiom-1",
+        "axiom-3"])
+def test_quandle_table_refusal_names_the_defect(tmp_path, op, message):
+    """A table that is not a quandle is refused in one line naming the
+    entry out of range (quoted to 40 characters), the column that is not a
+    bijection, or the axiom that fails."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"n": len(op), "op": op}))
+    r = run_cli("colorings", fixture_path("trefoil.json"), "--quandle",
+                str(path), timeout=10)
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == f"sginv: {path}: {message}\n".encode()
 
 
 def test_pcolor():

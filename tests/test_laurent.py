@@ -72,6 +72,24 @@ def test_variable_mismatch_rejected():
         LaurentPoly({0: 1}, "t") * LaurentPoly({0: 1}, "A")
 
 
+def test_operators_with_ints_and_foreign_types():
+    """An int on the left subtracts through __rsub__; equal polynomials
+    hash equal; a str or float operand is a TypeError and never equal."""
+    p = LaurentPoly({-1: 2, 0: -3, 2: 1})
+    for k in (-4, 0, 7):
+        assert k - p == -(p - k)
+    assert 7 - p == LaurentPoly({-1: -2, 0: 10, 2: -1})
+    assert hash(p) == hash(LaurentPoly({2: 1, -1: 2, 0: -3}))
+    assert len({p, LaurentPoly({2: 1, 0: -3, -1: 2}), p * 1}) == 1
+    with pytest.raises(TypeError):
+        p + "x"
+    with pytest.raises(TypeError):
+        "x" - p
+    with pytest.raises(TypeError):
+        p * 1.5
+    assert (p == "x") is False
+
+
 def test_rendering():
     p = LaurentPoly({-2: -1, -1: -1, 0: -2, 1: -1, 2: -1}, "A")
     assert str(p) == "-A^-2 - A^-1 - 2 - A - A^2"

@@ -1,8 +1,9 @@
 """The package loads its engine modules on first use: each CLI subcommand
 executes only the modules it needs, the public names resolve to the
-submodules' own objects, and the engine modules that `perfbench/tracer.py`
+submodules' own objects, the engine modules that `perfbench/tracer.py`
 looks up in `sys.modules` after `import sginv.cli` execute when it reads
-their namespaces."""
+their namespaces, no CLI run imports `typing` or `__future__`, and the
+records keep their fields, defaults and reprs."""
 
 import importlib
 import json
@@ -13,6 +14,13 @@ import sys
 import pytest
 
 import sginv
+from sginv.alexander import AlexanderMatrix, Presentation
+from sginv.constituents import ConstituentLink
+from sginv.diagram import Crossing, Diagram, Partition, VertexNode
+from sginv.graphs import AbstractGraph
+from sginv.laurent import LaurentPoly
+from sginv.quandle import FiniteQuandle
+from sginv.yamada import YamadaResult
 
 from helpers import fixture_path
 
@@ -41,9 +49,9 @@ TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
 
 # Runs `python -m sginv.cli <argv>` in this process, then prints the exit
-# code and the executed engine modules.  A lazily loaded module's type is
-# not ModuleType until it runs, and `type()` reads no attribute, so the
-# check itself loads nothing.
+# code, the executed engine modules and which of `typing` and `__future__`
+# were imported.  A lazily loaded module's type is not ModuleType until it
+# runs, and `type()` reads no attribute, so the check itself loads nothing.
 LOAD_SET = """
 import json, runpy, sys, types
 import os; os._exit = sys.exit
@@ -54,7 +62,8 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(
     name[len("sginv."):] for name, module in sys.modules.items()
-    if name.startswith("sginv.") and type(module) is types.ModuleType)]))
+    if name.startswith("sginv.") and type(module) is types.ModuleType),
+    sorted({"typing", "__future__"} & set(sys.modules))]))
 """
 
 
@@ -86,14 +95,78 @@ def run_child(*args):
     (["frobnicate", "trefoil.json"], 2, set()),
     (["yamada"], 2, set()),
     (["validate", "trefoil.json", "--bogus"], 2, set()),
+    # a table that is not affine, so the search counts
+    (["colorings", "trefoil.json", "--quandle", "s4_4cycles.json"], 0,
+     {"diagram", "laurent", "quandle"}),
 ])
 def test_subcommand_load_sets(argv, code, loaded):
     argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
     r = run_child("-c", f"import sys; sys.argv[1:] = {argv!r}\n" + LOAD_SET)
     assert r.returncode == 0, r.stderr
-    got_code, modules = json.loads(r.stdout.splitlines()[-1])
+    got_code, modules, imported = json.loads(r.stdout.splitlines()[-1])
     assert got_code == code, r.stderr
     assert set(modules) & set(ENGINE) == loaded
+    assert imported == []
+
+
+ARCS = Partition(((0, 1),), (True,), {0: 0, 1: 0})
+ARCS_TEXT = "Partition(classes=((0, 1),), is_closed=(True,), class_of={0: 0, 1: 0})"
+
+
+@pytest.mark.parametrize("record, fields, defaults, text", [
+    (Crossing(1, 2, 3, 4, 1), "over_in over_out under_in under_out sign", {},
+     "Crossing(over_in=1, over_out=2, under_in=3, under_out=4, sign=1)"),
+    (VertexNode(0, ((1, "in"), (2, "out"))), "id incident", {},
+     "VertexNode(id=0, incident=((1, 'in'), (2, 'out')))"),
+    (Diagram(), "vertices crossings free_loops",
+     {"vertices": (), "crossings": (), "free_loops": 0},
+     "Diagram(vertices=(), crossings=(), free_loops=0)"),
+    (ARCS, "classes is_closed class_of", {}, ARCS_TEXT),
+    (AbstractGraph(2, ((0, 1),)), "vertex_count edges free_loops",
+     {"free_loops": 0},
+     "AbstractGraph(vertex_count=2, edges=((0, 1),), free_loops=0)"),
+    (AlexanderMatrix(((LaurentPoly.zero(),),), ARCS, ("crossing 0",)),
+     "rows arcs row_labels", {},
+     "AlexanderMatrix(rows=((LaurentPoly(0, var='t'),),), arcs="
+     + ARCS_TEXT + ", row_labels=('crossing 0',))"),
+    (Presentation(("a1",), ((),)), "generators relators", {},
+     "Presentation(generators=('a1',), relators=((),))"),
+    (FiniteQuandle(2, ((0, 0), (1, 1)), ((0, 0), (1, 1))), "n op inv", {},
+     "FiniteQuandle(n=2, op=((0, 0), (1, 1)), inv=((0, 0), (1, 1)))"),
+    (ConstituentLink(Diagram(), ((0, (0, 1)), (1, (0, 1))), 0, ()),
+     "diagram choice components component_vertices", {},
+     "ConstituentLink(diagram=Diagram(vertices=(), crossings=(), "
+     "free_loops=0), choice=((0, (0, 1)), (1, (0, 1))), components=0, "
+     "component_vertices=())"),
+    (YamadaResult(LaurentPoly({1: 1, 2: 1, 3: 1}, "A"),
+                  LaurentPoly({0: -1, 1: -1, 2: -1}, "A"), 1),
+     "raw normalized min_power", {},
+     "YamadaResult(raw=LaurentPoly(A + A^2 + A^3, var='A'), "
+     "normalized=LaurentPoly(-1 - A - A^2, var='A'), min_power=1)"),
+], ids=["Crossing", "VertexNode", "Diagram", "Partition", "AbstractGraph",
+        "AlexanderMatrix", "Presentation", "FiniteQuandle", "ConstituentLink",
+        "YamadaResult"])
+def test_record_fields_defaults_and_reprs(record, fields, defaults, text):
+    """Each record's fields, defaults and repr, as the parent recorded them;
+    a record equals and hashes as the plain tuple of its fields."""
+    assert record._fields == tuple(fields.split())
+    assert record._field_defaults == defaults
+    assert repr(record) == text
+    assert record == tuple(record)
+    if record is not ARCS and ARCS not in record:   # class_of is a dict
+        assert hash(record) == hash(tuple(record))
+
+
+def test_record_replace():
+    """`_replace` keeps the class, so the methods stay reachable."""
+    c = Crossing(1, 2, 3, 4, 1)._replace(sign=-1)
+    assert type(c) is Crossing and c == (1, 2, 3, 4, -1)
+    assert c.ccw_slots() == ("over_in", "under_in", "over_out", "under_out")
+    d = Diagram(crossings=(c,))._replace(free_loops=2)
+    assert type(d) is Diagram and d == ((), (c,), 2) and not d.is_empty()
+    X = FiniteQuandle(3, ((0, 2, 1), (2, 1, 0), (1, 0, 2)), None)
+    X = X._replace(inv=X.op)
+    assert type(X) is FiniteQuandle and X.apply(0, 1, -1) == 2
 
 
 def test_public_names():

@@ -24,8 +24,9 @@ from sginv.yamada import (_sigma_power, _tile_order, _tiles,
                           eval_crossing_free, sigma, yamada_normalized,
                           yamada_raw)
 
-from helpers import (FIXTURE_DIR, flat_yamada, grid_text, read_fixture,
-                     small_corpus, to_abstract_graph, two_pass_yamada)
+from helpers import (FIXTURE_DIR, dumbbell, flat_yamada, grid_text,
+                     read_fixture, small_corpus, to_abstract_graph,
+                     two_pass_yamada)
 
 A = LaurentPoly.monomial(1, 1, "A")
 A_inv = LaurentPoly.monomial(1, -1, "A")
@@ -314,6 +315,11 @@ def test_mirror_swaps_a_and_a_inverse():
 def test_normalized_zero_handling():
     res = yamada_normalized(Diagram())
     assert res.raw == ONE and res.min_power == 0
+    # the dumbbell has a bridge, so its polynomial is 0 (fact (c)), which
+    # has no least exponent to normalize by
+    res = yamada_normalized(dumbbell())
+    assert res.raw.is_zero() and res.normalized.is_zero()
+    assert res.min_power is None
 
 
 def test_theta_table_values():
