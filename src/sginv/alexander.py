@@ -47,7 +47,7 @@ def _weighted_relations(d: Diagram, weights):
     require_valid(d)
     relations = arcs, _, vertex_rows = wirtinger_relations(d)
     if weights is None:
-        arc_w = [1] * len(arcs)
+        arc_w = [1] * len(arcs.classes)
     else:
         edge_of = seg_to_edge_id(derive_edges(d))
         for eid in edge_of.values():
@@ -87,7 +87,7 @@ def _relation_rows(d: Diagram, weights, monomial, zero):
         _weighted_relations(d, weights)
     if any(residuals.values()):
         raise WeightError(f"unbalanced weighting, residuals {residuals}")
-    ncols = len(arcs) + d.free_loops
+    ncols = len(arcs.classes) + d.free_loops
     rows = []
     for a, b, c, _ in crossing_rows:
         row = [zero] * ncols
@@ -156,7 +156,7 @@ def graph_determinant(d: Diagram, weights) -> int:
     rows, arcs = _relation_rows(
         d, weights, lambda coeff, exp: -coeff if exp % 2 else coeff, 0)
     return integer_minors_gcd(
-        rows, _minor_size(len(rows), len(arcs) + d.free_loops))
+        rows, _minor_size(len(rows), len(arcs.classes) + d.free_loops))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,8 @@ def wirtinger_presentation(d: Diagram) -> Presentation:
     adds one generator with the trivial relator, as a kink would."""
     require_valid(d)
     arcs, crossing_rows, vertex_rows = wirtinger_relations(d)
-    gens = tuple(f"a{i + 1}" for i in range(len(arcs) + d.free_loops))
+    gens = tuple(f"a{i + 1}"
+                 for i in range(len(arcs.classes) + d.free_loops))
     relators = [_reduce_word([(gens[b], -s), (gens[a], 1), (gens[b], s),
                               (gens[c], -1)])
                 for a, b, c, s in crossing_rows]

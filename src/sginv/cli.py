@@ -94,16 +94,14 @@ def _read_quandle(path):
     try:
         doc = json.loads(_read(path))
         n, op = doc["n"], doc["op"]
-        # JSON gives plain lists and ints; `type` tells true from 1
-        if not (type(n) is int and len(op) == n and all(
-                type(row) is list and len(row) == n
-                and all(type(x) is int for x in row) for row in op)):
+        # `type` tells true from 1; from_op checks the rows
+        if type(n) is not int or n != len(op):
             raise ValueError("expected n rows of n integers")
         X = quandle.FiniteQuandle.from_op(op)
     # JSONDecodeError and from_op's QuandleError are ValueErrors too
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(2, f"{path}: bad quandle table: {exc}") from None
-    bad = quandle.verify_quandle(X.op, X.inv)
+    bad = quandle.verify_quandle(X.op)
     if bad:
         axiom, witness = bad[0]
         raise CliError(2, f"{path}: axiom {axiom} fails at {witness}")

@@ -10,9 +10,9 @@ only on its cycle family, the edges on the cycles its chosen slots close
 7,776 choices close 38 families.  `enumerate_constituents` extracts every
 choice and is the per-choice reference.  `conway_gordon_sum` adds the Arf
 invariants of the Hamiltonian-cycle members mod 2, each from the
-determinant of the cycle's Fox matrix, built on the diagram's own segments
-without extracting the knot; `hamiltonian_constituents` extracts the same
-members and is its reference.
+determinant of the cycle's Fox matrix, read off the diagram's Wirtinger
+relation table without extracting the knot; `hamiltonian_constituents`
+extracts the same members and is its reference.
 """
 
 from collections import namedtuple
@@ -21,7 +21,7 @@ from math import prod
 
 from . import alexander, yamada
 from .diagram import (Diagram, DiagramError, UnionFind, derive_edges, rejoin,
-                      require_valid)
+                      require_valid, wirtinger_relations)
 from .laurent import integer_minors_gcd
 
 # Refusal bound for vertex_choices: the number of vertex choices, each one
@@ -62,7 +62,7 @@ def _edge_ends(d: Diagram):
     ends = {}
     for v in sorted(d.vertices, key=lambda v: v.id):
         for slot, (seg, _) in enumerate(v.incident):
-            ends.setdefault(part.index_of(seg), []).append((v.id, slot))
+            ends.setdefault(part.class_of[seg], []).append((v.id, slot))
     return part, ends, sum(part.is_closed) + d.free_loops
 
 
@@ -240,28 +240,28 @@ def arf_from_determinant(det: int) -> int:
     return 0 if det % 8 in (1, 7) else 1
 
 
-def _cycle_determinant(d: Diagram, edge_of, on):
-    """The determinant of the knot on the edges `on` of d, from its Fox
-    matrix on d's segments: arcs merge across the over level of a kept
-    crossing (both levels on), the level passing a spliced one (one level
-    on) and the knot's two slots at each vertex.  A kept crossing's row
-    -a + 2b - c is symmetric in a and c, so orientation does not matter."""
-    uf = UnionFind([s for s, e in edge_of.items() if e in on])
+def _cycle_determinant(relations, edge_of, on):
+    """The determinant of the knot on the edges `on`, from its Fox matrix
+    on the rows of `wirtinger_relations`, `edge_of[x]` being the edge of
+    arc x.  A crossing row (a, b, c, s) whose under arc a and over arc b
+    are on the knot is kept as -a + 2b - c; with b off, a and c merge (the
+    crossing is spliced).  The knot's two arcs at each vertex merge.  A
+    kept row is symmetric in a and c, so orientation does not matter."""
+    _, crossing_rows, vertex_rows = relations
+    uf = UnionFind([x for x, e in enumerate(edge_of) if e in on])
     kept = []
-    for c in d.crossings:
-        over, under = edge_of[c.over_in] in on, edge_of[c.under_in] in on
-        if over or under:
-            level = "over" if over else "under"
-            uf.union(getattr(c, level + "_in"), getattr(c, level + "_out"))
-        if over and under:
-            kept.append(c)
-    for v in d.vertices:
-        s1, s2 = [s for s, _ in v.incident if edge_of[s] in on]
-        uf.union(s1, s2)
-    arc = {}
-    triples = [[arc.setdefault(uf.find(s), len(arc))
-                for s in (c.under_in, c.over_in, c.under_out)] for c in kept]
-    fox = [[2 * (x == b) - (x == a) - (x == c) for x in range(len(arc))]
+    for a, b, c, _ in crossing_rows:
+        if edge_of[a] in on:
+            if edge_of[b] in on:
+                kept.append((a, b, c))
+            else:
+                uf.union(a, c)
+    for row in vertex_rows:
+        x, y = [x for x, _ in row if edge_of[x] in on]
+        uf.union(x, y)
+    col = {}
+    triples = [[col.setdefault(uf.find(x), len(col)) for x in t] for t in kept]
+    fox = [[2 * (x == b) - (x == a) - (x == c) for x in range(len(col))]
            for a, b, c in triples]
     return integer_minors_gcd(fox, max(len(fox) - 1, 0))
 
@@ -274,12 +274,14 @@ def conway_gordon_sum(d: Diagram) -> int:
     if d.vertices:
         cycles = [] if closed else _hamiltonian_cycles(ends)
     else:
-        cycles = [frozenset(range(len(part)))] if closed == 1 else []
+        cycles = [frozenset(range(len(part.classes)))] if closed == 1 else []
     if not cycles:
         if closed:
             raise DiagramError(f"diagram has closed components without "
                                f"vertices ({closed}), so no constituent is "
                                f"a single Hamiltonian cycle")
         raise DiagramError("underlying graph has no Hamiltonian cycle")
-    return sum(arf_from_determinant(_cycle_determinant(d, part.class_of, on))
+    relations = wirtinger_relations(d)
+    edge_of = [part.class_of[cls[0]] for cls in relations[0].classes]
+    return sum(arf_from_determinant(_cycle_determinant(relations, edge_of, on))
                for on in cycles) % 2

@@ -279,12 +279,6 @@ class Partition(namedtuple("Partition", "classes is_closed class_of")):
     `class_of` maps a segment to its class index."""
     __slots__ = ()
 
-    def index_of(self, seg):
-        return self.class_of[seg]
-
-    def __len__(self):
-        return len(self.classes)
-
 
 def _partition(d: Diagram, merge_under: bool) -> Partition:
     segs = d.segment_ids()

@@ -38,11 +38,15 @@ class FiniteQuandle(namedtuple("FiniteQuandle", "n op inv")):
     def from_op(op):
         """Build the inverse table by inverting each right translation.
 
-        Raises QuandleError, naming the defect, when an entry is not in
-        0..n-1 or some translation is not a bijection (the table then fails
-        axiom 2 outright).
+        The one check of a table: raises QuandleError, naming the defect,
+        unless op is n rows of n ints (by type, so True is refused), every
+        entry is in 0..n-1 and every translation is a bijection (the table
+        otherwise fails axiom 2 outright).
         """
         n = len(op)
+        if not all(type(row) in (list, tuple) and len(row) == n
+                   and all(type(z) is int for z in row) for row in op):
+            raise QuandleError("expected n rows of n integers")
         inv = [[None] * n for _ in range(n)]
         for y in range(n):
             for x in range(n):
@@ -57,42 +61,20 @@ class FiniteQuandle(namedtuple("FiniteQuandle", "n op inv")):
         return FiniteQuandle(n, tuple(map(tuple, op)), tuple(map(tuple, inv)))
 
 
-def verify_quandle(op, inv=None):
-    """Check the three quandle axioms on explicit tables.
+def verify_quandle(op):
+    """Check a table op[x][y] = x > y against the quandle axioms.
 
     Returns a list of (axiom number, witness tuple) violations; empty means
-    the tables form a quandle.  If inv is omitted it is derived from op when
-    possible (failure to derive is an axiom-2 violation).
+    the table is a quandle.  A table `FiniteQuandle.from_op` refuses gives
+    that refusal as the one violation (2, (message,)); otherwise the
+    witnesses are (x,) for idempotence and (x, y, z) for distributivity.
     """
+    try:
+        op = FiniteQuandle.from_op(op).op
+    except QuandleError as exc:
+        return [(2, (str(exc),))]
     n = len(op)
-    for row in op:
-        if len(row) != n:
-            raise QuandleError("ragged operation table")
-    if inv is not None:
-        for row in inv:
-            if len(row) != n:
-                raise QuandleError("ragged inverse table")
-    violations = []
-    for x in range(n):
-        for y in range(n):
-            if not 0 <= op[x][y] < n:
-                violations.append((0, (x, y)))  # out-of-range entry
-    if violations:
-        return violations
-    for x in range(n):
-        if op[x][x] != x:
-            violations.append((1, (x,)))
-    if inv is None:
-        try:
-            inv = FiniteQuandle.from_op(op).inv
-        except QuandleError:
-            violations.append((2, ("translation not bijective",)))
-            inv = None
-    if inv is not None:
-        for x in range(n):
-            for y in range(n):
-                if inv[op[x][y]][y] != x or op[inv[x][y]][y] != x:
-                    violations.append((2, (x, y)))
+    violations = [(1, (x,)) for x in range(n) if op[x][x] != x]
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -124,11 +106,12 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
     color that condition fixes.
     """
     require_valid(d)
-    bad = verify_quandle(X.op, X.inv)
+    bad = verify_quandle(X.op)
     if bad:
         raise QuandleError(f"not a quandle: {bad[:3]}")
+    X = FiniteQuandle.from_op(X.op)    # the exact inverse, whatever X.inv is
     arcs, crossing_rows, vertex_rows = wirtinger_relations(d)
-    n_arcs = len(arcs)
+    n_arcs = len(arcs.classes)
     loops = d.free_loops
     if n_arcs == 0:
         # only free loops, and no vertex condition on their colors
@@ -208,26 +191,27 @@ def count_affine_colorings(d: Diagram, n: int, a: int) -> int:
     # x >^eps y = t[eps] x + (1 - t[eps]) y
     t = {1: a, -1: a if self_inverse else pow(a, -1, n)}
     arcs, crossing_rows, vertex_rows = wirtinger_relations(d)
-    rows = [[0] * len(arcs) for _ in crossing_rows]
+    n_arcs = len(arcs.classes)
+    rows = [[0] * n_arcs for _ in crossing_rows]
     for row, (x, y, z, _) in zip(rows, crossing_rows):
         row[x] += a    # += since a kink names one arc twice
         row[y] += 1 - a
         row[z] -= 1
     g = 0
     for v_row in vertex_rows:
-        row, A = [0] * len(arcs), 1    # composed from the last translation
+        row, A = [0] * n_arcs, 1    # composed from the last translation
         for arc, eps in reversed(v_row):
             row[arc] += (1 - t[eps]) * A
             A = A * t[eps] if self_inverse else A * t[eps] % n
         row[0] += A - 1
         rows.append(row)
         g = gcd(g, A - 1)
-    for j in range(1, len(arcs) if g % n else 0):
-        rows.append([-g] + [0] * (len(arcs) - 1))
+    for j in range(1, n_arcs if g % n else 0):
+        rows.append([-g] + [0] * (n_arcs - 1))
         rows[-1][j] += g
     s = invariant_factors(rows)
     return (gcd(g, n) ** d.free_loops
-            * prod(gcd(f, n) for f in s) * n ** (len(arcs) - len(s)))
+            * prod(gcd(f, n) for f in s) * n ** (n_arcs - len(s)))
 
 
 # Miller-Rabin to the first 13 prime bases, 2 to 41, is exact below

@@ -44,7 +44,7 @@ def canonicalize(d: Diagram) -> Diagram:
 
 def edge_ids(edges: Partition):
     """Edge labels 'e1', 'e2', ... in least-contained-segment order."""
-    return [f"e{i + 1}" for i in range(len(edges))]
+    return [f"e{i + 1}" for i in range(len(edges.classes))]
 
 
 def balanced_theta_weights(th):
@@ -180,7 +180,7 @@ def count_constant_colorings(d: Diagram, X):
     relations hold by idempotence; only the vertex condition can fail)."""
     require_valid(d)
     arcs, _, vertex_rows = wirtinger_relations(d)
-    if len(arcs) == 0:
+    if not arcs.classes:
         return X.n if d.free_loops else 1
     count = 0
     for col in range(X.n):

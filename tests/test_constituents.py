@@ -19,7 +19,8 @@ from sginv.constituents import (_choice_space, _cycle_determinant, _edge_ends,
                                 enumerate_constituents,
                                 hamiltonian_constituents)
 from sginv.diagram import (Crossing, Diagram, DiagramError, VertexNode,
-                           derive_edges, serialize, validate)
+                           derive_edges, serialize, validate,
+                           wirtinger_relations)
 from sginv.moves import R2_VARIANTS, apply_r2, disjoint_union
 from sginv.yamada import sigma
 
@@ -89,7 +90,7 @@ def _cycle_components(d, choice):
     ends = {}
     for v in d.vertices:
         for slot, (seg, _) in enumerate(v.incident):
-            ends.setdefault(edges.index_of(seg), []).append((v.id, slot))
+            ends.setdefault(edges.class_of[seg], []).append((v.id, slot))
     adjacent = {}
     for (u, i), (w, j) in ends.values():
         if (u, i) in chosen and (w, j) in chosen:
@@ -296,10 +297,12 @@ FOX_CASES = [
                          ids=[name for name, _ in FOX_CASES])
 def test_fox_cycle_determinants_match_extraction(name, d):
     """Each Hamiltonian cycle's determinant from its Fox matrix on the
-    diagram's own segments equals the determinant of its extracted link,
-    in the same cycle order, and the Arf sum follows."""
+    diagram's Wirtinger relation table equals the determinant of its
+    extracted link, in the same cycle order, and the Arf sum follows."""
     part, ends, _ = _edge_ends(d)
-    fox = [_cycle_determinant(d, part.class_of, on)
+    relations = wirtinger_relations(d)
+    edge_of = [part.class_of[cls[0]] for cls in relations[0].classes]
+    fox = [_cycle_determinant(relations, edge_of, on)
            for on in _hamiltonian_cycles(ends)]
     extracted = [graph_determinant(link.diagram, None)
                  for link in hamiltonian_constituents(d)]

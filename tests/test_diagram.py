@@ -167,19 +167,19 @@ def test_ccw_slots_convention():
 def test_arc_and_edge_partitions():
     tre = catalog.trefoil()
     arcs, edges = derive_arcs(tre), derive_edges(tre)
-    assert len(arcs) == 3          # over-strand arcs of a 3-crossing knot
-    assert len(edges) == 1         # single closed component
+    assert len(arcs.classes) == 3    # over-strand arcs of a 3-crossing knot
+    assert len(edges.classes) == 1   # single closed component
     assert edges.is_closed == (True,)
 
     th = catalog.theta_trivial()
-    assert len(derive_arcs(th)) == 3
-    assert len(derive_edges(th)) == 3
+    assert len(derive_arcs(th).classes) == 3
+    assert len(derive_edges(th).classes) == 3
     assert edge_ids(derive_edges(th)) == ["e1", "e2", "e3"]
     assert seg_to_edge_id(derive_edges(th)) == {0: "e1", 1: "e2", 2: "e3"}
 
     kink = catalog.kinked_unknot(1)
-    assert len(derive_arcs(kink)) == 1
-    assert len(derive_edges(kink)) == 1
+    assert len(derive_arcs(kink).classes) == 1
+    assert len(derive_edges(kink).classes) == 1
 
 
 def test_canonicalize_sorts_content():

@@ -50,7 +50,8 @@ def test_r1_structure():
                 assert validate(r) == [], (name, seg, ch)
                 assert len(r.crossings) == len(d.crossings) + 1
                 assert len(r.segment_ids()) == len(d.segment_ids()) + 2
-                assert len(derive_edges(r)) == len(derive_edges(d))
+                assert (len(derive_edges(r).classes)
+                        == len(derive_edges(d).classes))
                 signs = sorted(c.sign for c in r.crossings)
                 assert signs == sorted([c.sign for c in d.crossings] + [ch])
 

@@ -14,9 +14,11 @@ import sys
 import pytest
 
 import sginv
+from sginv import catalog
 from sginv.alexander import AlexanderMatrix, Presentation
 from sginv.constituents import ConstituentLink
-from sginv.diagram import Crossing, Diagram, Partition, VertexNode
+from sginv.diagram import (Crossing, Diagram, Partition, VertexNode,
+                           derive_arcs)
 from sginv.graphs import AbstractGraph
 from sginv.laurent import LaurentPoly
 from sginv.quandle import FiniteQuandle
@@ -167,6 +169,11 @@ def test_record_replace():
     X = FiniteQuandle(3, ((0, 2, 1), (2, 1, 0), (1, 0, 2)), None)
     X = X._replace(inv=X.op)
     assert type(X) is FiniteQuandle and X.apply(0, 1, -1) == 2
+    # a partition of 4 classes: len() is the field count, not the classes
+    p = derive_arcs(catalog.figure_eight())
+    q = p._replace(is_closed=(False,) * 4)
+    assert type(q) is Partition and len(q.classes) == 4 == len(p.classes)
+    assert q == (p.classes, (False,) * 4, p.class_of)
 
 
 def test_public_names():

@@ -68,11 +68,17 @@ def test_perturbed_table_fails_axioms():
     op = [list(row) for row in q.op]
     op[1][3] = (op[1][3] + 1) % 5
     assert verify_quandle(tuple(tuple(r) for r in op)) != []
-    # idempotence violation specifically
-    op = [list(row) for row in affine_quandle(3, 1).op]
-    op[0][0] = 1
-    violations = verify_quandle(tuple(tuple(r) for r in op))
-    assert any(axiom == 1 for axiom, _ in violations)
+    # idempotence violation specifically, every column a bijection
+    violations = verify_quandle(((1, 0, 0), (0, 1, 1), (2, 2, 2)))
+    assert (1, (0,)) in violations
+    # a table from_op refuses is one axiom-2 violation naming the defect
+    assert verify_quandle([[0, 5], [1, 1]]) == \
+        [(2, ("op[0][1] = 5 is not in 0..1",))]
+    assert verify_quandle([[0, 2, 1], [0, 1, 0], [2, 2, 2]]) == \
+        [(2, ("the right translation by 0 (column 0 of op) is not a "
+              "bijection",))]
+    assert verify_quandle([[0, True], [1, 1]]) == \
+        [(2, ("expected n rows of n integers",))]
 
 
 def test_inverse_operation():
@@ -84,6 +90,25 @@ def test_inverse_operation():
                 x, y = rng.randrange(n), rng.randrange(n)
                 assert q.apply(q.apply(x, y, 1), y, -1) == x
                 assert q.apply(q.apply(x, y, -1), y, 1) == x
+
+
+def test_count_ignores_a_wrong_inverse():
+    """count_colorings counts with the inverse from_op derives, never with
+    the inv a FiniteQuandle carries: a wrong one changes no count, and a
+    quandle built from lists counts like its tuple form.  The tetrahedral
+    quandle colors K4 4 ways and the trivial theta-curve 16; with op in
+    place of its inverse the counts would be 16 and 4."""
+    pinned = {"K4": 4, "theta": 16}
+    for name, X in non_involutory_quandles().items():
+        wrong = X._replace(inv=X.op)
+        lists = FiniteQuandle(X.n, list(map(list, X.op)),
+                              list(map(list, X.inv)))
+        for d_name, d in (("K4", catalog.complete_graph_moment_curve(4)),
+                          ("theta", catalog.theta_trivial())):
+            counts = [count_colorings(d, Y) for Y in (X, wrong, lists)]
+            assert counts == counts[:1] * 3, (name, d_name)
+            if name == "tetrahedral":
+                assert counts[0] == pinned[d_name]
 
 
 def test_from_op_derives_inverse():
@@ -107,12 +132,12 @@ def fox_coloring_count(d, p):
     every crossing, where b is the over arc and a, c the under arcs."""
     arcs = derive_arcs(d)
     count = 0
-    for colors in product(range(p), repeat=len(arcs)):
+    for colors in product(range(p), repeat=len(arcs.classes)):
         ok = True
         for c in d.crossings:
-            b = colors[arcs.index_of(c.over_in)]
-            a = colors[arcs.index_of(c.under_in)]
-            cc = colors[arcs.index_of(c.under_out)]
+            b = colors[arcs.class_of[c.over_in]]
+            a = colors[arcs.class_of[c.under_in]]
+            cc = colors[arcs.class_of[c.under_out]]
             if (a + cc - 2 * b) % p:
                 ok = False
                 break

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from sginv import catalog
+from sginv import catalog, yamada
 from sginv.diagram import (Crossing, Diagram, DiagramError, UnionFind,
                            VertexNode, parse_diagram, resolve_crossing)
 from sginv.graphs import (AbstractGraph, connected_components, contract_edge,
@@ -25,7 +25,7 @@ from sginv.yamada import (_sigma_power, _tile_order, _tiles,
                           yamada_raw)
 
 from helpers import (FIXTURE_DIR, dumbbell, flat_yamada, grid_text,
-                     read_fixture, small_corpus, to_abstract_graph,
+                     read_fixture, small_corpus, subs_int, to_abstract_graph,
                      two_pass_yamada)
 
 A = LaurentPoly.monomial(1, 1, "A")
@@ -310,6 +310,44 @@ def test_mirror_swaps_a_and_a_inverse():
         m = yamada_raw(mirror(d))
         flipped = LaurentPoly({-e: c for e, c in yamada_raw(d).terms()}, "A")
         assert m == flipped, name
+
+
+def flip_crossings(d, idx):
+    """d with the crossings at the indices idx flipped: over and under
+    swapped and the sign negated, as `mirror` does to every crossing."""
+    return d._replace(crossings=tuple(
+        Crossing(c.under_in, c.under_out, c.over_in, c.over_out, -c.sign)
+        if i in idx else c for i, c in enumerate(d.crossings)))
+
+
+@pytest.mark.parametrize("name, make, values", [
+    ("K5", lambda: catalog.complete_graph_moment_curve(5), (-219, -51)),
+    ("K6", lambda: catalog.complete_graph_moment_curve(6), (2424, -560)),
+    ("theta_5_3", catalog.theta_5_3, (-6, -2)),
+    ("closure3x100", lambda: catalog.braid_closure(3, [1, -2] * 50), (3, -1)),
+], ids=["K5", "K6", "theta_5_3", "closure3x100"])
+def test_crossing_flips_keep_values_at_a_plus_minus_one(name, make, values):
+    """A = A^-1 at A = +-1, so R(1) and R(-1), evaluated in exact ints,
+    survive any set of crossing flips; two seeded flip sets each."""
+    d = make()
+    rng = random.Random(name)
+    n = len(d.crossings)
+    for k in (1, rng.randrange(2, n + 1)):
+        r = yamada_raw(flip_crossings(d, set(rng.sample(range(n), k))))
+        assert (subs_int(r, 1), subs_int(r, -1)) == values, (name, k)
+    r = yamada_raw(d)
+    assert (subs_int(r, 1), subs_int(r, -1)) == values, name
+
+
+def test_cost_limit_boundary(monkeypatch):
+    """The trefoil's estimate is 10,125: a limit equal to it still
+    evaluates, one below refuses."""
+    value = yamada_raw(catalog.trefoil())
+    monkeypatch.setattr(yamada, "MAX_COST", 10125)
+    assert yamada_raw(catalog.trefoil()) == value
+    monkeypatch.setattr(yamada, "MAX_COST", 10124)
+    with pytest.raises(DiagramError, match="estimated Yamada cost"):
+        yamada_raw(catalog.trefoil())
 
 
 def test_normalized_zero_handling():
