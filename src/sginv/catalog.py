@@ -11,7 +11,7 @@ successor step in the (cyclic) strand numbering 1..2n.
 from fractions import Fraction
 from itertools import accumulate, combinations
 
-from .diagram import Crossing, Diagram, DiagramError, VertexNode
+from .diagram import Crossing, Diagram, DiagramError, VertexNode, Wiring
 
 
 def from_pd(codes) -> Diagram:
@@ -111,17 +111,12 @@ def _knot_to_theta(d: Diagram, x: int, y: int) -> Diagram:
     drawn diagram so the new edge really is crossing-free in the plane.
     """
     nxt = max(d.segment_ids()) + 1
-    x1, x2, y1, y2, t = nxt, nxt + 1, nxt + 2, nxt + 3, nxt + 4
-    tail_ren, head_ren = {x: x1, y: y1}, {x: x2, y: y2}
+    x1, x2, y1, y2, t = range(nxt, nxt + 5)
     u = VertexNode(100, ((x1, "in"), (x2, "out"), (t, "out")))
     v = VertexNode(101, ((y1, "in"), (y2, "out"), (t, "in")))
-    crossings = tuple(Crossing(
-        over_in=head_ren.get(c.over_in, c.over_in),
-        over_out=tail_ren.get(c.over_out, c.over_out),
-        under_in=head_ren.get(c.under_in, c.under_in),
-        under_out=tail_ren.get(c.under_out, c.under_out),
-        sign=c.sign) for c in d.crossings)
-    return Diagram(d.vertices + (u, v), crossings, d.free_loops)
+    cut = Wiring(d).rewired({(x, "tail"): x1, (x, "head"): x2,
+                             (y, "tail"): y1, (y, "head"): y2})
+    return cut._replace(vertices=cut.vertices + (u, v))
 
 
 def theta_5_3() -> Diagram:

@@ -343,36 +343,13 @@ def seg_to_edge_id(edges: Partition):
 # ---------------------------------------------------------------------------
 
 class Wiring:
-    """Slot table behind Reidemeister move insertion: new segments and
-    crossings, and slots re-pointed from a replaced segment to a new one.
-
-    `_table` maps every slot to the end (segment id, "head"|"tail") it holds,
-    as `_slot_ends` reads them, and `_ends` is its inverse.  Slots are
-    re-pointed only by `replace_end` and added only by `new_crossing`; the
-    vertices keep their ids and directions.
-    """
+    """End index behind Reidemeister move insertion: `_ends` maps every
+    segment end (segment id, "head"|"tail") to the slot that holds it, as
+    `_slot_ends` reads them."""
 
     def __init__(self, d: Diagram):
         self._d = d
-        self._table = {slot: (s, kind) for slot, s, kind in _slot_ends(d)}
-        self._ends = {end: slot for slot, end in self._table.items()}
-        self._signs = [c.sign for c in d.crossings]
-        self._next_seg = max((s for s, _ in self._ends), default=-1) + 1
-
-    def new_segment(self):
-        s = self._next_seg
-        self._next_seg += 1
-        return s
-
-    def new_crossing(self, over_in, over_out, under_in, under_out, sign):
-        cid = len(self._signs)
-        self._signs.append(sign)
-        c = Crossing(over_in=over_in, over_out=over_out, under_in=under_in,
-                     under_out=under_out, sign=sign)
-        for (_, _, name), s, kind in _slot_ends(Diagram(crossings=(c,))):
-            self._table[("c", cid, name)] = (s, kind)
-            self._ends[(s, kind)] = ("c", cid, name)
-        return cid
+        self._ends = {(s, kind): slot for slot, s, kind in _slot_ends(d)}
 
     def find_end(self, seg, kind):
         """Locate the attachment of a segment end, or None if unattached.
@@ -381,26 +358,21 @@ class Wiring:
         """
         return self._ends.get((seg, kind))
 
-    def replace_end(self, at, new_seg):
-        """Attach `new_seg` in slot `at` (if any), keeping the slot's
-        head/tail kind; the displaced end leaves the index."""
-        if at is not None:
-            old_seg, kind = self._table[at]
-            del self._ends[(old_seg, kind)]
-            self._table[at] = (new_seg, kind)
-            self._ends[(new_seg, kind)] = at
-
-    def to_diagram(self) -> Diagram:
-        table = self._table
+    def rewired(self, renames, crossings=()) -> Diagram:
+        """The diagram with segment `renames[seg, kind]` in the slot of each
+        end (seg, kind), its vertices in id order and `crossings` appended;
+        every slot keeps its head/tail kind."""
+        slots = {self.find_end(*end): s for end, s in renames.items()}
+        d = self._d
         vertices = tuple(
-            VertexNode(v.id, tuple((table[("v", v.id, i)][0], direction)
-                                   for i, (_, direction) in enumerate(v.incident)))
-            for v in sorted(self._d.vertices, key=lambda v: v.id))
-        crossings = tuple(
-            Crossing(sign=sign, **{name: table[("c", cid, name)][0]
-                                   for name in _CROSSING_SLOTS})
-            for cid, sign in enumerate(self._signs))
-        return Diagram(vertices, crossings, self._d.free_loops)
+            VertexNode(v.id, tuple((slots.get(("v", v.id, i), s), direction)
+                                   for i, (s, direction) in enumerate(v.incident)))
+            for v in sorted(d.vertices, key=lambda v: v.id))
+        kept = tuple(
+            c._replace(**{name: slots.get(("c", cid, name), getattr(c, name))
+                          for name in _CROSSING_SLOTS})
+            for cid, c in enumerate(d.crossings))
+        return Diagram(vertices, kept + tuple(crossings), d.free_loops)
 
 
 # ---------------------------------------------------------------------------

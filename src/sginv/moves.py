@@ -23,17 +23,16 @@ def apply_r1_traced(d: Diagram, segment: int, chirality: int):
     require_valid(d)
     if chirality not in (1, -1):
         raise ValueError("chirality must be +1 or -1")
-    if segment not in d.segment_ids():
+    segs = d.segment_ids()
+    if segment not in segs:
         raise DiagramError(f"unknown segment s{segment}")
-    w = Wiring(d)
-    tail_at = w.find_end(segment, "tail")
-    head_at = w.find_end(segment, "head")
-    p, q, r = w.new_segment(), w.new_segment(), w.new_segment()
-    w.replace_end(tail_at, p)
-    w.replace_end(head_at, r)
-    w.new_crossing(over_in=p, over_out=q, under_in=q, under_out=r,
-                   sign=chirality)
-    return w.to_diagram(), {p: segment, q: segment, r: segment}
+    p = max(segs) + 1
+    q, r = p + 1, p + 2
+    kink = Crossing(over_in=p, over_out=q, under_in=q, under_out=r,
+                    sign=chirality)
+    renames = {(segment, "tail"): p, (segment, "head"): r}
+    return (Wiring(d).rewired(renames, (kink,)),
+            {p: segment, q: segment, r: segment})
 
 
 R2_VARIANTS = ("over+", "over-", "under+", "under-")
@@ -60,43 +59,33 @@ def apply_r2_traced(d: Diagram, seg1: int, seg2: int, variant: str = "over+"):
             raise DiagramError(f"unknown segment s{s}")
     if variant not in R2_VARIANTS:
         raise ValueError(f"variant must be one of {R2_VARIANTS}")
-    over_first = variant.startswith("over")
     sign = 1 if variant.endswith("+") else -1
-
-    w = Wiring(d)
-    ends1 = (w.find_end(seg1, "tail"), w.find_end(seg1, "head"))
-    ends2 = (w.find_end(seg2, "tail"), w.find_end(seg2, "head"))
-    a = [w.new_segment() for _ in range(3)]
-    b = [w.new_segment() for _ in range(3)]
-    w.replace_end(ends1[0], a[0])
-    w.replace_end(ends1[1], a[2])
-    w.replace_end(ends2[0], b[0])
-    w.replace_end(ends2[1], b[2])
-    over, under = (a, b) if over_first else (b, a)
-    w.new_crossing(over_in=over[0], over_out=over[1],
-                   under_in=under[0], under_out=under[1], sign=sign)
-    w.new_crossing(over_in=over[1], over_out=over[2],
-                   under_in=under[1], under_out=under[2], sign=-sign)
-    provenance = {s: seg1 for s in a}
-    provenance.update({s: seg2 for s in b})
-    return w.to_diagram(), provenance
+    first = max(segs) + 1
+    a, b = range(first, first + 3), range(first + 3, first + 6)
+    over, under = (a, b) if variant.startswith("over") else (b, a)
+    crossings = (Crossing(over_in=over[0], over_out=over[1],
+                          under_in=under[0], under_out=under[1], sign=sign),
+                 Crossing(over_in=over[1], over_out=over[2],
+                          under_in=under[1], under_out=under[2], sign=-sign))
+    renames = {(seg1, "tail"): a[0], (seg1, "head"): a[2],
+               (seg2, "tail"): b[0], (seg2, "head"): b[2]}
+    return (Wiring(d).rewired(renames, crossings),
+            {**dict.fromkeys(a, seg1), **dict.fromkeys(b, seg2)})
 
 
 def transport_weights(d_old: Diagram, weights_old: dict, d_new: Diagram,
                       provenance: dict) -> dict:
     """Carry per-edge weights across a traced move: each new edge gets the
-    weight of the old edge its segments came from."""
+    weight of the old edge of its least segment that is old or traced."""
     old_edge = seg_to_edge_id(derive_edges(d_old))
     new_part = derive_edges(d_new)
     out = {}
-    for i, cls in enumerate(new_part.classes):
-        for s in cls:
-            s_old = provenance.get(s, s)
-            if s_old in old_edge:
-                out[f"e{i + 1}"] = weights_old[old_edge[s_old]]
-                break
-        else:
-            raise DiagramError("edge with no weight provenance")
+    for s, e in seg_to_edge_id(new_part).items():    # by edge, then by segment
+        s_old = provenance.get(s, s)
+        if e not in out and s_old in old_edge:
+            out[e] = weights_old[old_edge[s_old]]
+    if len(out) < len(new_part.classes):
+        raise DiagramError("edge with no weight provenance")
     return out
 
 

@@ -280,6 +280,32 @@ def test_determinant():
     assert json.loads(r.stdout) == {"determinant": 5}
 
 
+def test_pendant_edges_are_refused(tmp_path):
+    """Two disjoint pendant edges, 0 -> 1 and 2 -> 3, at weight 0 (so every
+    vertex is balanced): four vertex relations on two arcs leave no minor
+    to take, and a vertex of degree 1 lies on no cycle."""
+    path = tmp_path / "pendants.json"
+    path.write_text(json.dumps({"vertices": [
+        {"id": v, "incident": [[f"s{v // 2}", ("out", "in")[v % 2]]]}
+        for v in range(4)]}))
+    for subcommand in ("alexander", "determinant"):
+        r = run_cli(subcommand, str(path), "--weight", "e1=0",
+                    "--weight", "e2=0")
+        assert (r.returncode, r.stderr) == \
+            (1, b"sginv: degenerate input: 4 relations but only 2 arcs\n")
+    r = run_cli("constituents", str(path), "--invariant", "determinant")
+    assert (r.returncode, r.stderr) == \
+        (1, b"sginv: vertex v0 has degree 1 < 2\n")
+
+
+def test_vertex_without_incidences_is_an_input_error(tmp_path):
+    path = tmp_path / "bare_vertex.json"
+    path.write_text('{"vertices": [{"id": 0}]}')
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert b"vertex needs 'id' and 'incident'" in r.stderr
+
+
 def test_colorings():
     r = run_cli("colorings", fixture_path("trefoil.json"), "--dihedral", "3")
     assert r.stdout == b"9\n"

@@ -242,6 +242,9 @@ def test_hamiltonian_on_vertex_free_diagrams():
     split = catalog.braid_closure(2, [])
     assert hamiltonian_constituents(hopf) == []
     assert hamiltonian_constituents(split) == []
+    # no single cycle covers both a theta-curve and a split-off knot
+    split_theta = disjoint_union(catalog.theta_trivial(), catalog.trefoil())
+    assert hamiltonian_constituents(split_theta) == []
 
 
 def test_arf_congruence():

@@ -12,7 +12,7 @@ from sginv.moves import (R2_VARIANTS, apply_r1, apply_r1_traced, apply_r2,
                          apply_r2_traced, disjoint_union, mirror,
                          transport_weights)
 
-from helpers import small_corpus
+from helpers import edge_ids, small_corpus
 
 MOVE_BASES = {
     "kink_pos": lambda: catalog.kinked_unknot(1),
@@ -124,6 +124,48 @@ def test_seeded_move_digests():
     assert got == MOVE_SHA256
 
 
+# catalog diagrams under the pinned move digest
+DIGEST_BASES = (
+    lambda: catalog.kinked_unknot(1), lambda: catalog.kinked_unknot(-1),
+    catalog.trefoil, catalog.figure_eight, catalog.torus_2_5,
+    catalog.knot_5_2, catalog.theta_5_3, catalog.theta_5_4,
+    catalog.theta_trivial, lambda: catalog.complete_graph_moment_curve(4),
+    lambda: catalog.complete_graph_moment_curve(5),
+    lambda: catalog.braid_closure(3, [1, -2] * 3))
+
+
+def test_move_insertion_digest():
+    """One SHA-256 over `repr`, `serialize`, the provenance and the
+    transported weights after each of 720 seeded R1/R2 steps: six runs of
+    ten moves from each base, which starts with weight i on edge e<i>.
+    `repr` pins the vertex and crossing order that `serialize` sorts away."""
+    h = hashlib.sha256()
+    steps = 0
+    for i, base in enumerate(DIGEST_BASES):
+        for seed in range(6):
+            rng = random.Random(100 * i + seed)
+            d = base()
+            weights = {e: k + 1 for k, e in enumerate(edge_ids(derive_edges(d)))}
+            for _ in range(10):
+                segs = sorted(d.segment_ids())
+                if rng.random() < 0.5:
+                    d2, prov = apply_r1_traced(d, rng.choice(segs),
+                                               rng.choice((1, -1)))
+                else:
+                    s1, s2 = rng.sample(segs, 2)
+                    d2, prov = apply_r2_traced(d, s1, s2,
+                                               rng.choice(R2_VARIANTS))
+                weights = transport_weights(d, weights, d2, prov)
+                d = d2
+                steps += 1
+                for part in (repr(d), serialize(d), repr(sorted(prov.items())),
+                             repr(sorted(weights.items()))):
+                    h.update(part.encode())
+    assert steps == 720
+    assert h.hexdigest() == \
+        "5747d19bf2353da577da870e1a204f73d444bce25b13d3312ec25e0e8eb5aae8"
+
+
 def test_transport_weights_preserves_edge_weights():
     th = catalog.theta_trivial()
     w = {"e1": 1, "e2": 1, "e3": -2}
@@ -142,6 +184,15 @@ def test_transport_weights_preserves_edge_weights():
             weights = transport_weights(d, weights, d2, prov)
             d = d2
         assert sorted(weights.values()) == [-2, 1, 1]
+
+
+def test_transport_weights_refuses_an_edge_from_nowhere():
+    """A new edge none of whose segments is old or traced has no weight."""
+    tre = catalog.trefoil()
+    two = disjoint_union(tre, tre)
+    assert transport_weights(tre, {"e1": 4}, tre, {}) == {"e1": 4}
+    with pytest.raises(DiagramError, match="edge with no weight provenance"):
+        transport_weights(tre, {"e1": 4}, two, {})
 
 
 def test_mirror_is_an_involution_and_flips_signs():

@@ -81,6 +81,14 @@ def test_perturbed_table_fails_axioms():
         [(2, ("expected n rows of n integers",))]
 
 
+def test_count_refuses_a_table_that_is_not_a_quandle():
+    """Every column of this table is a bijection, so from_op takes it, but
+    x > x = x fails at x = 0: the count refuses it."""
+    X = FiniteQuandle.from_op([[1, 0, 0], [0, 1, 1], [2, 2, 2]])
+    with pytest.raises(QuandleError, match="not a quandle: "):
+        count_colorings(catalog.trefoil(), X)
+
+
 def test_inverse_operation():
     rng = random.Random(12)
     for n in (3, 4, 5, 7):

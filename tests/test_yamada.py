@@ -321,22 +321,55 @@ def flip_crossings(d, idx):
 
 
 @pytest.mark.parametrize("name, make, values", [
+    ("K4", lambda: catalog.complete_graph_moment_curve(4), (6, -6)),
     ("K5", lambda: catalog.complete_graph_moment_curve(5), (-219, -51)),
     ("K6", lambda: catalog.complete_graph_moment_curve(6), (2424, -560)),
     ("theta_5_3", catalog.theta_5_3, (-6, -2)),
     ("closure3x100", lambda: catalog.braid_closure(3, [1, -2] * 50), (3, -1)),
-], ids=["K5", "K6", "theta_5_3", "closure3x100"])
+], ids=["K4", "K5", "K6", "theta_5_3", "closure3x100"])
 def test_crossing_flips_keep_values_at_a_plus_minus_one(name, make, values):
     """A = A^-1 at A = +-1, so R(1) and R(-1), evaluated in exact ints,
-    survive any set of crossing flips; two seeded flip sets each."""
+    survive any set of crossing flips; two seeded flip sets each, of one
+    crossing and of two or more (of one again on K4, which has one)."""
     d = make()
     rng = random.Random(name)
     n = len(d.crossings)
-    for k in (1, rng.randrange(2, n + 1)):
+    for k in (1, rng.randint(min(2, n), n)):
         r = yamada_raw(flip_crossings(d, set(rng.sample(range(n), k))))
         assert (subs_int(r, 1), subs_int(r, -1)) == values, (name, k)
     r = yamada_raw(d)
     assert (subs_int(r, 1), subs_int(r, -1)) == values, name
+
+
+# R(1) and R(-1) of every diagram fixture but k7
+FIXTURE_VALUES = {
+    "unknot": (3, -1), "kink_pos": (3, -1), "kink_neg": (3, -1),
+    "trefoil": (3, -1), "figure_eight": (3, -1), "torus_2_5": (3, -1),
+    "knot_5_2": (3, -1), "theta_trivial": (-6, -2), "theta_weighted": (-6, -2),
+    "theta_5_3": (-6, -2), "theta_5_4": (-6, -2), "k5": (-219, -51),
+    "closure3x18": (27, -1),
+}
+
+
+def test_crossing_flips_after_moves_keep_values_at_a_plus_minus_one():
+    """Three seeded R1/R2 moves on each fixture (none on the unknot, which
+    has no segment), then two seeded flip sets: R(1) and R(-1) stay the
+    fixture's values, since a kink scales R by A^+-2."""
+    for name, values in FIXTURE_VALUES.items():
+        d = parse_diagram(read_fixture(name + ".json"))
+        rng = random.Random(name)
+        for _ in range(3 if d.segment_ids() else 0):
+            segs = sorted(d.segment_ids())
+            if rng.random() < 0.5:
+                d = apply_r1(d, rng.choice(segs), rng.choice((1, -1)))
+            else:
+                d = apply_r2(d, *rng.sample(segs, 2), rng.choice(R2_VARIANTS))
+        n = len(d.crossings)
+        flips = [set(rng.sample(range(n), rng.randint(min(1, n), n)))
+                 for _ in range(2)]
+        for idx in [set()] + flips:
+            r = yamada_raw(flip_crossings(d, idx))
+            assert (subs_int(r, 1), subs_int(r, -1)) == values, (name, idx)
 
 
 def test_cost_limit_boundary(monkeypatch):
