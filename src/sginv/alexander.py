@@ -3,10 +3,8 @@
 Each edge carries an integer weight; the weighting is balanced when the
 signed weight sum eps_1 w_1 + eps_2 w_2 + ... at every vertex vanishes.  The
 Alexander matrix has one row per relation of `diagram.wirtinger_relations`,
-in its arcs and signs: per crossing (a, b, c), with w_o the weight of the
-over arc b and w_u that of the under strand,
-    (1 - t^w_u) b + t^w_o c - a = 0,
-and per vertex ((a_1, eps_1), (a_2, eps_2), ...),
+in its arcs and signs: per crossing the Fox row of `diagram.fox_rows`, with
+t^m the Laurent monomial, and per vertex ((a_1, eps_1), (a_2, eps_2), ...),
     sum_i eps_i t^(m_i) a_i = 0,
     m_i = eps_1 w_1 + ... + eps_(i-1) w_(i-1) + min(eps_i, 0) w_i.
 A free loop counts as one more arc with a trivial relation (a zero row and a
@@ -17,8 +15,8 @@ relations; the graph determinant is the integer analogue at t = -1.
 
 from collections import namedtuple
 
-from .diagram import (Diagram, DiagramError, derive_edges, require_valid,
-                      seg_to_edge_id, wirtinger_relations)
+from .diagram import (Diagram, DiagramError, derive_edges, fox_rows,
+                      require_valid, seg_to_edge_id, wirtinger_relations)
 from .laurent import (LaurentPoly, integer_minors_gcd, minors_gcd,
                       reduce_unit_pivots)
 # perfbench/tracer.py times the integer Bareiss under bareiss_det by this name
@@ -80,27 +78,22 @@ class AlexanderMatrix(namedtuple("AlexanderMatrix", "rows arcs row_labels")):
         return len(self.rows[0]) if self.rows else 0
 
 
-def _relation_rows(d: Diagram, weights, monomial, zero):
-    """The relation rows of a balanced weighting, each entry a sum of
-    monomial(coefficient, exponent) terms, and the arc partition."""
+def _relation_rows(d: Diagram, weights, power):
+    """The relation rows of a balanced weighting, the crossing rows those of
+    `fox_rows` with t^m = power(m), and the arc partition."""
     (arcs, crossing_rows, vertex_rows), arc_w, residuals = \
         _weighted_relations(d, weights)
     if any(residuals.values()):
         raise WeightError(f"unbalanced weighting, residuals {residuals}")
     ncols = len(arcs.classes) + d.free_loops
-    rows = []
-    for a, b, c, _ in crossing_rows:
-        row = [zero] * ncols
-        for arc, coeff, exp in ((a, -1, 0), (b, 1, 0), (b, -1, arc_w[a]),
-                                (c, 1, arc_w[b])):
-            row[arc] = row[arc] + monomial(coeff, exp)
-        rows.append(row)
+    zero = 0 * power(0)
+    rows = fox_rows(crossing_rows, ncols, power, arc_w)
     for v_row in vertex_rows:
         row = [zero] * ncols
         prefix = 0
         for arc, eps in v_row:
             w = arc_w[arc]
-            row[arc] = row[arc] + monomial(eps, prefix + min(eps, 0) * w)
+            row[arc] += eps * power(prefix + min(eps, 0) * w)
             prefix += eps * w
         rows.append(row)
     return rows + [[zero] * ncols for _ in range(d.free_loops)], arcs
@@ -108,8 +101,7 @@ def _relation_rows(d: Diagram, weights, monomial, zero):
 
 def build_alexander_matrix(d: Diagram, weights) -> AlexanderMatrix:
     rows, arcs = _relation_rows(
-        d, weights, lambda coeff, exp: LaurentPoly.monomial(coeff, exp, VAR),
-        LaurentPoly.zero(VAR))
+        d, weights, lambda m: LaurentPoly.monomial(1, m, VAR))
     labels = ([f"crossing {i}" for i in range(len(d.crossings))]
               + [f"vertex v{v.id}" for v in d.vertices]
               + [f"free loop {i + 1}" for i in range(d.free_loops)])
@@ -153,8 +145,7 @@ def graph_determinant(d: Diagram, weights) -> int:
     """GCD of the absolute (r-1)-minors of the matrix at t = -1, built over
     Z: t^m is -1 or 1 by the parity of m.  weights=None puts weight 1 on
     every edge."""
-    rows, arcs = _relation_rows(
-        d, weights, lambda coeff, exp: -coeff if exp % 2 else coeff, 0)
+    rows, arcs = _relation_rows(d, weights, lambda m: -1 if m % 2 else 1)
     return integer_minors_gcd(
         rows, _minor_size(len(rows), len(arcs.classes) + d.free_loops))
 

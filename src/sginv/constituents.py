@@ -20,8 +20,8 @@ from itertools import combinations, product
 from math import prod
 
 from . import alexander, yamada
-from .diagram import (Diagram, DiagramError, UnionFind, derive_edges, rejoin,
-                      require_valid, wirtinger_relations)
+from .diagram import (Diagram, DiagramError, UnionFind, derive_edges,
+                      fox_rows, rejoin, require_valid, wirtinger_relations)
 from .laurent import integer_minors_gcd
 
 # Refusal bound for vertex_choices: the number of vertex choices, each one
@@ -243,10 +243,10 @@ def arf_from_determinant(det: int) -> int:
 def _cycle_determinant(relations, edge_of, on):
     """The determinant of the knot on the edges `on`, from its Fox matrix
     on the rows of `wirtinger_relations`, `edge_of[x]` being the edge of
-    arc x.  A crossing row (a, b, c, s) whose under arc a and over arc b
-    are on the knot is kept as -a + 2b - c; with b off, a and c merge (the
-    crossing is spliced).  The knot's two arcs at each vertex merge.  A
-    kept row is symmetric in a and c, so orientation does not matter."""
+    arc x.  A crossing row whose under arc a and over arc b are on the knot
+    keeps its row of `fox_rows` at t = -1, -a + 2b - c, symmetric in a and
+    c, so orientation does not matter; with b off, a and c merge (the
+    crossing is spliced).  The knot's two arcs at each vertex merge."""
     _, crossing_rows, vertex_rows = relations
     uf = UnionFind([x for x, e in enumerate(edge_of) if e in on])
     kept = []
@@ -261,8 +261,8 @@ def _cycle_determinant(relations, edge_of, on):
         uf.union(x, y)
     col = {}
     triples = [[col.setdefault(uf.find(x), len(col)) for x in t] for t in kept]
-    fox = [[2 * (x == b) - (x == a) - (x == c) for x in range(len(col))]
-           for a, b, c in triples]
+    fox = fox_rows(triples, len(col), lambda m: -1 if m % 2 else 1,
+                   [1] * len(col))
     return integer_minors_gcd(fox, max(len(fox) - 1, 0))
 
 

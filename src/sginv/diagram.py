@@ -334,6 +334,24 @@ def wirtinger_relations(d: Diagram):
     return arcs, crossings, vertices
 
 
+def fox_rows(crossing_rows, ncols, power, arc_w):
+    """The Fox rows of crossing rows (a, b, c, ...) of `wirtinger_relations`
+    over ncols columns: -a + (1 - t^w_a) b + t^w_b c, w_x = arc_w[x] the
+    weight of arc x and every t^m given by power(m).  The readers differ
+    only in t: a Laurent monomial for the Alexander matrix, -1 or 1 by the
+    parity of m at t = -1, and a^-1 mod n for the colorings by Aff(Z_n, a).
+    The entries are added in turn, since a kink names one arc twice."""
+    one = power(0)
+    rows = []
+    for a, b, c, *_ in crossing_rows:
+        row = [0 * one] * ncols
+        row[a] -= one
+        row[b] += one - power(arc_w[a])
+        row[c] += power(arc_w[b])
+        rows.append(row)
+    return rows
+
+
 def seg_to_edge_id(edges: Partition):
     return {s: f"e{i + 1}" for s, i in edges.class_of.items()}
 

@@ -19,7 +19,7 @@ only checks the prime of `is_p_colorable`.
 from collections import deque, namedtuple
 from math import gcd, prod
 
-from .diagram import Diagram, require_valid, wirtinger_relations
+from .diagram import Diagram, fox_rows, require_valid, wirtinger_relations
 from .laurent import invariant_factors
 
 
@@ -174,16 +174,16 @@ def count_colorings(d: Diagram, X: FiniteQuandle) -> int:
 
 def count_affine_colorings(d: Diagram, n: int, a: int) -> int:
     """count_colorings(d, affine_quandle(n, a)) by linear algebra.  A
-    crossing row (x, y, z, s) asks ax + (1 - a)y - z = 0 mod n.  The
-    translations of a vertex compose to x -> Ax + L, A a power of a and L
-    linear in its arc colors, which fixes every arc color c_j when
-    (A - 1)c_0 + L = 0 and (A - 1)(c_j - c_0) = 0.  With g the gcd of A - 1
-    over the vertices the second is g(c_j - c_0) = 0, and a free loop takes
-    gcd(g, n) colors (n without vertices).  The count is the kernel mod n of
-    these rows, read off their invariant factors s_i as
-    n^(arcs - rank) prod gcd(s_i, n), with no need to factor n.  a = +-1 is
-    its own inverse and is not reduced mod n, so R_n's rows keep entries of
-    at most 2."""
+    crossing row (x, y, z, s) asks z = ax + (1 - a)y mod n, its row of
+    `diagram.fox_rows` at t = a^-1 times the unit -a.  The translations of
+    a vertex compose to x -> Ax + L, A a power of a and L linear in its arc
+    colors, which fixes every arc color c_j when (A - 1)c_0 + L = 0 and
+    (A - 1)(c_j - c_0) = 0.  With g the gcd of A - 1 over the vertices the
+    second is g(c_j - c_0) = 0, and a free loop takes gcd(g, n) colors (n
+    without vertices).  The count is the kernel mod n of these rows, read
+    off their invariant factors s_i as n^(arcs - rank) prod gcd(s_i, n),
+    with no need to factor n.  a = +-1 is its own inverse and is not
+    reduced mod n, so R_n's rows keep entries of -1 and 2."""
     require_valid(d)
     if n < 1 or gcd(a, n) != 1:
         raise QuandleError("the order must be >= 1 and a a unit mod it")
@@ -192,11 +192,7 @@ def count_affine_colorings(d: Diagram, n: int, a: int) -> int:
     t = {1: a, -1: a if self_inverse else pow(a, -1, n)}
     arcs, crossing_rows, vertex_rows = wirtinger_relations(d)
     n_arcs = len(arcs.classes)
-    rows = [[0] * n_arcs for _ in crossing_rows]
-    for row, (x, y, z, _) in zip(rows, crossing_rows):
-        row[x] += a    # += since a kink names one arc twice
-        row[y] += 1 - a
-        row[z] -= 1
+    rows = fox_rows(crossing_rows, n_arcs, lambda m: t[-1] ** m, [1] * n_arcs)
     g = 0
     for v_row in vertex_rows:
         row, A = [0] * n_arcs, 1    # composed from the last translation

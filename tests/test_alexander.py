@@ -5,6 +5,7 @@ rows against the Laurent route, and Wirtinger output."""
 import random
 import time
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -16,8 +17,8 @@ from sginv.alexander import (WeightError, alexander_polynomial,
 from sginv.diagram import (Diagram, DiagramError, VertexNode, derive_arcs,
                            parse_document)
 from sginv.laurent import LaurentPoly
-from sginv.moves import (R2_VARIANTS, apply_r1_traced, apply_r2_traced,
-                         transport_weights)
+from sginv.moves import (R2_VARIANTS, apply_r1_traced, apply_r2,
+                         apply_r2_traced, transport_weights)
 
 from helpers import (balanced_theta_weights, knot_corpus, laurent_determinant,
                      nine_by_ten_matrix, read_fixture, small_corpus, subs_int)
@@ -67,6 +68,19 @@ def test_determinants():
     for name, d in knot_corpus().items():
         assert graph_determinant(d, uniform_weights(d)) == expected[name]
         assert graph_determinant(d, None) == expected[name]
+
+
+def test_determinants_of_turks_head_closures():
+    """The closure of (sigma_1 sigma_2^-1)^n has determinant L_2n - 2, L
+    the Lucas numbers (2, 1, 3, 4, 7, ...): up to 100 crossings, where the
+    determinant has 21 digits."""
+    lucas = [2, 1]
+    while len(lucas) <= 100:
+        lucas.append(lucas[-1] + lucas[-2])
+    for n in range(1, 51):
+        d = catalog.braid_closure(3, [1, -2] * n)
+        assert graph_determinant(d, None) == lucas[2 * n] - 2, n
+    assert lucas[100] - 2 == 792070839848372253125
 
 
 def determinant_outcome(determinant, d, weights):
@@ -281,6 +295,42 @@ def test_wirtinger_counts_and_abelianization():
 
     th = catalog.theta_5_4()
     assert _abelianized_rank_deficiency(wirtinger_presentation(th)) == 2
+
+
+def _four_cycle_homomorphisms(pres):
+    """The homomorphisms of the presented group to S_4 that send every
+    generator to one of the six 4-cycles, by trying every assignment."""
+    identity = tuple(range(4))
+    cycles = [p for p in permutations(identity)
+              if len({0, p[0], p[p[0]], p[p[p[0]]]}) == 4]
+
+    def value(rel, image):
+        x = identity
+        for g, e in rel:
+            step = image[g] if e > 0 else tuple(sorted(
+                identity, key=image[g].__getitem__))
+            for _ in range(abs(e)):
+                x = tuple(step[i] for i in x)
+        return x
+
+    return sum(all(value(rel, dict(zip(pres.generators, images))) == identity
+                   for rel in pres.relators)
+               for images in product(cycles, repeat=len(pres.generators)))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: alexander.wirtinger_presentation has the double inversion of "
+    "fact (l): 30 homomorphisms onto the 4-cycles of S_4 before the R2 move "
+    "and 6 after"))
+def test_wirtinger_presentation_keeps_homomorphisms_under_r2():
+    """The number of homomorphisms to a finite group is an invariant of the
+    group; the trefoil's 30 to the 4-cycles of S_4 match its colorings by
+    the conjugation quandle of those cycles."""
+    tre = catalog.trefoil()
+    before = _four_cycle_homomorphisms(wirtinger_presentation(tre))
+    assert before == 30
+    assert _four_cycle_homomorphisms(wirtinger_presentation(
+        apply_r2(tre, 1, 2, "over+"))) == before
 
 
 def test_wirtinger_render_reduces():

@@ -8,9 +8,10 @@ import pytest
 
 from sginv import catalog
 from sginv.diagram import (Crossing, Diagram, DiagramError, VertexNode, Wiring,
-                           derive_arcs, derive_edges, parse_diagram,
+                           derive_arcs, derive_edges, fox_rows, parse_diagram,
                            parse_document, resolve_crossing, seg_to_edge_id,
-                           serialize, validate)
+                           serialize, validate, wirtinger_relations)
+from sginv.laurent import LaurentPoly
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, mirror
 
 from helpers import canonicalize, edge_ids, read_fixture, small_corpus
@@ -180,6 +181,57 @@ def test_arc_and_edge_partitions():
     kink = catalog.kinked_unknot(1)
     assert len(derive_arcs(kink).classes) == 1
     assert len(derive_edges(kink).classes) == 1
+
+
+def fixture_relations(name):
+    return wirtinger_relations(parse_diagram(read_fixture(f"{name}.json")))
+
+
+def test_wirtinger_relations_pinned():
+    """Crossing rows (a, b, c, s) written as positive crossings, a the
+    under_in arc at sign +1 and the under_out arc at sign -1, and vertex
+    rows (arc, eps), eps = +1 for "in" and -1 for "out"."""
+    for name, sign in (("kink_pos", 1), ("kink_neg", -1)):
+        arcs, crossings, vertices = fixture_relations(name)
+        assert arcs.classes == ((0, 1),)
+        assert (crossings, vertices) == (((0, 0, 0, sign),), ()), name
+    arcs, crossings, vertices = fixture_relations("theta_trivial")
+    assert arcs.classes == ((0,), (1,), (2,))
+    assert crossings == ()
+    assert vertices == (((0, -1), (1, -1), (2, -1)), ((0, 1), (2, 1), (1, 1)))
+    # a kink on the trefoil: under_in and over arc are one arc at sign +1,
+    # under_out and over arc at sign -1
+    tre = catalog.trefoil()
+    assert wirtinger_relations(apply_r1(tre, 1, 1))[1] == (
+        (3, 1, 0, 1), (0, 2, 1, 1), (1, 0, 2, 1), (2, 2, 3, 1))
+    assert wirtinger_relations(apply_r1(tre, 1, -1))[1] == (
+        (3, 1, 0, 1), (0, 2, 1, 1), (1, 0, 2, 1), (3, 2, 2, -1))
+
+
+def test_fox_rows_pinned():
+    """-a + (1 - t^w_a) b + t^w_b c per crossing row, its entries added in
+    turn where a kink names one arc twice or three times."""
+    t = LaurentPoly.monomial(1, 1, "t")
+
+    def power(m):
+        return LaurentPoly.monomial(1, m, "t")
+
+    for name in ("kink_pos", "kink_neg"):
+        _, crossings, _ = fixture_relations(name)
+        assert fox_rows(crossings, 1, power, [1]) == [[0]], name
+    assert fox_rows(fixture_relations("theta_trivial")[1], 3, power,
+                    [1, 1, 1]) == []
+    tre = catalog.trefoil()
+    assert fox_rows(wirtinger_relations(apply_r1(tre, 1, 1))[1], 4, power,
+                    [1] * 4) == [[t, 1 - t, 0, -1], [-1, t, 1 - t, 0],
+                                 [1 - t, -1, t, 0], [0, 0, -t, t]]
+    assert fox_rows(wirtinger_relations(apply_r1(tre, 1, -1))[1][3:], 4,
+                    power, [1] * 4) == [[0, 0, 1, -1]]
+    # weights 2 and 3 on arcs 0 and 1, rows as (a, b, c) alone
+    assert fox_rows([(0, 0, 1), (1, 0, 0)], 2, power, [2, 3]) == [
+        [-t ** 2, t ** 2], [1 + t ** 2 - t ** 3, -1]]
+    assert fox_rows([(0, 1, 2)], 3, lambda m: -1 if m % 2 else 1,
+                    [1, 1, 1]) == [[-1, 2, -1]]
 
 
 def test_canonicalize_sorts_content():

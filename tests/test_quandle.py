@@ -12,7 +12,7 @@ from math import gcd, prod
 import pytest
 
 from sginv import catalog
-from sginv.alexander import alexander_polynomial
+from sginv.alexander import alexander_polynomial, build_alexander_matrix
 from sginv.diagram import Diagram, derive_arcs, parse_document
 from sginv.laurent import invariant_factors
 from sginv.moves import R2_VARIANTS, apply_r1, apply_r2, disjoint_union
@@ -284,6 +284,33 @@ def test_affine_count_against_alexander_polynomial():
                     assert count == p, (name, p, a)
                 else:
                     assert count > p and count % p == 0, (name, p, a)
+
+
+@pytest.mark.parametrize("name", ("trefoil", "figure_eight", "knot_5_2",
+                                  "torus_2_5"))
+def test_affine_count_is_the_alexander_kernel_at_composite_orders(name):
+    """The count's crossing rows are the Fox rows at t = a^-1 mod n up to a
+    unit, so it is n^(cols - rank) prod gcd(s_i, n), s_i the invariant
+    factors of the Alexander matrix read at t = a^-1 mod n: for every n in
+    2..12, prime or not, and every unit a, on the knot and after two seeded
+    R2 moves."""
+    d = fixture_diagrams()[name]
+    rng = random.Random(name)
+    moved = d
+    for _ in range(2):
+        s1, s2 = rng.sample(sorted(moved.segment_ids()), 2)
+        moved = apply_r2(moved, s1, s2, rng.choice(R2_VARIANTS))
+    for label, knot in (("bare", d), ("two R2 moves", moved)):
+        m = build_alexander_matrix(knot, None)
+        for n in range(2, 13):
+            for a in units(n):
+                t = pow(a, -1, n)
+                s = invariant_factors([[sum(c * pow(t, e, n)
+                                            for e, c in p.terms()) % n
+                                        for p in row] for row in m.rows])
+                assert count_affine_colorings(knot, n, a) == \
+                    n ** (m.col_count - len(s)) * prod(gcd(f, n) for f in s), \
+                    (label, n, a)
 
 
 def assert_affine_matches_search(d, orders, label):
